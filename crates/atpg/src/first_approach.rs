@@ -23,9 +23,9 @@ use rand::{Rng, SeedableRng};
 use limscan_fault::{FaultId, FaultList};
 use limscan_netlist::Circuit;
 use limscan_scan::{ScanTest, ScanTestSet};
-use limscan_sim::{eval_comb, next_state, CombFaultSim, Logic};
+use limscan_sim::{CombFaultSim, Logic, WideWord};
 
-use crate::podem::{podem, PodemOptions};
+use crate::podem::{PodemEngine, PodemOptions};
 use crate::scoap::Scoap;
 
 /// Tuning for the conventional generators.
@@ -94,7 +94,8 @@ pub fn generate(circuit: &Circuit, faults: &FaultList, config: &CombAtpgConfig) 
     let scoap = Scoap::compute(circuit);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut detected = vec![false; faults.len()];
-    let mut frame_sim = CombFaultSim::new(circuit, faults);
+    let mut fault_sim = CombFaultSim::new(circuit, faults);
+    let mut engine = PodemEngine::with_frame(&scoap, fault_sim.frame_sim());
     let mut set = ScanTestSet::new(circuit.dffs().len(), circuit.inputs().len());
 
     let fill = |v: &mut [Logic], rng: &mut StdRng| {
@@ -114,7 +115,7 @@ pub fn generate(circuit: &Circuit, faults: &FaultList, config: &CombAtpgConfig) 
             backtrack_limit: config.backtrack_limit,
             ..PodemOptions::default()
         };
-        let Some(t) = podem(circuit, &scoap, fault, &free) else {
+        let Some(t) = engine.run(fault, &free) else {
             continue; // combinationally untestable (or aborted)
         };
         let mut state = t.state;
@@ -128,9 +129,10 @@ pub fn generate(circuit: &Circuit, faults: &FaultList, config: &CombAtpgConfig) 
         let mut v = vector;
         loop {
             // Credit every fault this vector detects from `current`
-            // (parallel-fault frame simulation, 64 faults per word).
+            // (parallel-fault frame simulation, `LANES` = 256 faults per
+            // sweep).
             let undetected: Vec<FaultId> = faults.ids().filter(|f| !detected[f.index()]).collect();
-            for (k, hit) in frame_sim
+            for (k, hit) in fault_sim
                 .detects_among(&undetected, &current, &v)
                 .into_iter()
                 .enumerate()
@@ -139,10 +141,19 @@ pub fn generate(circuit: &Circuit, faults: &FaultList, config: &CombAtpgConfig) 
                     detected[undetected[k].index()] = true;
                 }
             }
-            let mut gv = vec![Logic::X; circuit.net_count()];
-            load(circuit, &mut gv, &v, &current);
-            eval_comb(circuit, &mut gv);
-            current = next_state(circuit, &gv, None);
+            // The fault-free lane 0 of the engine's frame gives the next
+            // state.
+            let frame = engine.frame();
+            for (pos, &b) in v.iter().enumerate() {
+                frame.set_input(pos, WideWord::broadcast(b));
+            }
+            for (ff, &b) in current.iter().enumerate() {
+                frame.set_state(ff, WideWord::broadcast(b));
+            }
+            frame.eval();
+            current = (0..current.len())
+                .map(|ff| frame.next_state(ff).lane(0))
+                .collect();
             vectors.push(v);
             if vectors.len() >= config.max_vectors_per_test {
                 break;
@@ -161,7 +172,7 @@ pub fn generate(circuit: &Circuit, faults: &FaultList, config: &CombAtpgConfig) 
                 backtrack_limit: config.backtrack_limit,
                 ..PodemOptions::default()
             };
-            match podem(circuit, &scoap, next_fault, &fixed) {
+            match engine.run(next_fault, &fixed) {
                 Some(nt) => {
                     let mut nv = nt.inputs;
                     fill(&mut nv, &mut rng);
@@ -174,16 +185,6 @@ pub fn generate(circuit: &Circuit, faults: &FaultList, config: &CombAtpgConfig) 
     }
 
     CombAtpgOutcome { set, detected }
-}
-
-fn load(c: &Circuit, values: &mut [Logic], inputs: &[Logic], state: &[Logic]) {
-    values.fill(Logic::X);
-    for (&pi, &v) in c.inputs().iter().zip(inputs) {
-        values[pi.index()] = v;
-    }
-    for (&q, &v) in c.dffs().iter().zip(state) {
-        values[q.index()] = v;
-    }
 }
 
 #[cfg(test)]

@@ -44,6 +44,6 @@ mod podem;
 mod scoap;
 mod sequential;
 
-pub use podem::{podem, Observation, PodemOptions, PodemTest};
+pub use podem::{podem, Observation, PodemEngine, PodemOptions, PodemTest};
 pub use scoap::Scoap;
 pub use sequential::{AtpgConfig, AtpgOutcome, AtpgStop, SequentialAtpg};

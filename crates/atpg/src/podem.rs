@@ -15,10 +15,15 @@
 //! Detection is recorded as [`Observation::Po`] (fault visible at a primary
 //! output this cycle) or [`Observation::Ppo`] (fault effect latched into a
 //! flip-flop — the hook for the paper's functional scan knowledge).
+//!
+//! Implication is one sweep of the compiled frame ([`FrameSim`]) that
+//! evaluates the fault-free machine in lane 0 and the faulty machine in
+//! lane 1. [`PodemEngine`] holds the frame and the search tables for a
+//! whole run; [`podem`] is the one-shot form.
 
 use limscan_fault::{Fault, FaultSite};
 use limscan_netlist::{Circuit, Driver, GateKind, NetId};
-use limscan_sim::{eval_comb, eval_comb_with, Logic};
+use limscan_sim::{FrameSim, Logic, WideWord};
 
 use crate::scoap::Scoap;
 
@@ -74,19 +79,278 @@ pub struct PodemTest {
     pub observation: Observation,
 }
 
-struct Podem<'a> {
+/// Even lanes of the frame run the fault-free machine and odd lanes the
+/// faulty one: pair `k` is lanes `2k` (good) and `2k + 1` (faulty). PODEM
+/// reads pair 0; candidate scoring gives each candidate its own pair.
+pub(crate) const EVEN_LANES: u64 = 0x5555_5555_5555_5555;
+/// The faulty lanes of every pair.
+pub(crate) const ODD_LANES: u64 = !EVEN_LANES;
+
+/// `good` in every even lane and `bad` in every odd lane.
+#[inline]
+pub(crate) fn pair_word(good: Logic, bad: Logic) -> WideWord<1> {
+    let (g, b) = (
+        WideWord::<1>::broadcast(good),
+        WideWord::<1>::broadcast(bad),
+    );
+    WideWord {
+        v0: [(g.v0[0] & EVEN_LANES) | (b.v0[0] & ODD_LANES)],
+        v1: [(g.v1[0] & EVEN_LANES) | (b.v1[0] & ODD_LANES)],
+    }
+}
+
+/// Bit `2k` is set where pair `k`'s good and faulty lanes carry
+/// complementary binary values (a fault effect).
+#[inline]
+pub(crate) fn pair_effects(w: WideWord<1>) -> u64 {
+    let (v0, v1) = (w.v0[0], w.v1[0]);
+    ((v0 & (v1 >> 1)) | (v1 & (v0 >> 1))) & EVEN_LANES
+}
+
+/// Sentinel for "no position" in the per-net tables.
+const NONE: u32 = u32::MAX;
+
+/// A PODEM engine for one circuit, built once and reused for every fault.
+///
+/// Implication is one sweep of the compiled frame ([`FrameSim`]) with the
+/// fault-free machine in lane 0 and the faulty machine in lane 1. The
+/// per-net lookup tables and the search's scratch buffers live here, so a
+/// search allocates only its decision stack. [`podem`] is the one-shot
+/// form.
+///
+/// # Example
+///
+/// ```
+/// use limscan_netlist::benchmarks;
+/// use limscan_fault::FaultList;
+/// use limscan_atpg::{PodemEngine, PodemOptions, Scoap};
+///
+/// let c = benchmarks::s27();
+/// let scoap = Scoap::compute(&c);
+/// let mut engine = PodemEngine::new(&c, &scoap);
+/// let opts = PodemOptions::default();
+/// let tested = FaultList::collapsed(&c)
+///     .iter()
+///     .filter(|&(_, f)| engine.run(f, &opts).is_some())
+///     .count();
+/// assert!(tested > 0);
+/// ```
+pub struct PodemEngine<'a> {
     circuit: &'a Circuit,
     scoap: &'a Scoap,
-    fault: Fault,
-    opts: &'a PodemOptions,
+    frame: FrameSim<'a>,
+    /// Per net: position in the input list, [`NONE`] for other nets.
+    pi_pos: Vec<u32>,
+    /// Per net: flip-flop index, [`NONE`] for other nets.
+    ff_pos: Vec<u32>,
+    /// Per net: position in `comb_order`, [`NONE`] for sources.
+    comb_pos: Vec<u32>,
+    /// Per net: whether it is a primary output.
+    is_po: Vec<bool>,
+    /// Per flip-flop: its D net.
+    dff_d: Vec<NetId>,
+    /// Per net: index into the current search's assignable list.
+    assign_pos: Vec<u32>,
+    /// Visit stamps shared by the cone walk and the X-path search.
+    seen: Vec<u32>,
+    epoch: u32,
+    /// Gates a fault effect can reach in the current search, in
+    /// `comb_order` order: the only gates that can join the D-frontier.
+    cone: Vec<NetId>,
+    /// The D-frontier of the last status check.
+    frontier: Vec<NetId>,
+    /// Work stack of the cone walk and the X-path search.
+    walk: Vec<NetId>,
+}
+
+impl<'a> PodemEngine<'a> {
+    /// Compiles `circuit` and builds the engine.
+    pub fn new(circuit: &'a Circuit, scoap: &'a Scoap) -> Self {
+        PodemEngine::with_frame(scoap, FrameSim::new(circuit))
+    }
+
+    /// Builds the engine on an existing frame evaluator (for example one
+    /// sharing a fault simulator's compiled circuit); `scoap` must be
+    /// computed for the frame's circuit.
+    pub fn with_frame(scoap: &'a Scoap, frame: FrameSim<'a>) -> Self {
+        let circuit = frame.circuit();
+        let n = circuit.net_count();
+        let mut pi_pos = vec![NONE; n];
+        for (i, &pi) in circuit.inputs().iter().enumerate() {
+            pi_pos[pi.index()] = i as u32;
+        }
+        let mut ff_pos = vec![NONE; n];
+        for (i, &q) in circuit.dffs().iter().enumerate() {
+            ff_pos[q.index()] = i as u32;
+        }
+        let mut comb_pos = vec![NONE; n];
+        for (i, &g) in circuit.comb_order().iter().enumerate() {
+            comb_pos[g.index()] = i as u32;
+        }
+        let mut is_po = vec![false; n];
+        for &po in circuit.outputs() {
+            is_po[po.index()] = true;
+        }
+        let dff_d = circuit
+            .dffs()
+            .iter()
+            .map(|&q| match circuit.net(q).driver() {
+                Driver::Dff { d } => *d,
+                _ => unreachable!("dffs holds flip-flops"),
+            })
+            .collect();
+        PodemEngine {
+            circuit,
+            scoap,
+            frame,
+            pi_pos,
+            ff_pos,
+            comb_pos,
+            is_po,
+            dff_d,
+            assign_pos: vec![NONE; n],
+            seen: vec![0; n],
+            epoch: 0,
+            cone: Vec::new(),
+            frontier: Vec::new(),
+            walk: Vec::new(),
+        }
+    }
+
+    /// Runs PODEM for one fault; see [`podem`].
+    pub fn run(&mut self, fault: Fault, opts: &PodemOptions) -> Option<PodemTest> {
+        debug_assert_eq!(opts.state_good.is_some(), opts.state_bad.is_some());
+        let c = self.circuit;
+        // Pinned inputs keep their value, later pins winning; every other
+        // source starts X.
+        let mut base_inputs = vec![Logic::X; c.inputs().len()];
+        for &(pos, v) in &opts.pi_fixed {
+            base_inputs[pos] = v;
+        }
+        let mut assignable: Vec<NetId> = c
+            .inputs()
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !opts.pi_fixed.iter().any(|(p, _)| p == i))
+            .map(|(_, &n)| n)
+            .collect();
+        if opts.state_good.is_none() {
+            assignable.extend_from_slice(c.dffs());
+        }
+        let state = match (&opts.state_good, &opts.state_bad) {
+            (Some(sg), Some(sb)) => sg.iter().zip(sb).map(|(&g, &b)| pair_word(g, b)).collect(),
+            (Some(_), None) => vec![WideWord::ALL_X; c.dffs().len()],
+            (None, _) => Vec::new(),
+        };
+        for &n in c.inputs().iter().chain(c.dffs()) {
+            self.assign_pos[n.index()] = NONE;
+        }
+        for (k, &n) in assignable.iter().enumerate() {
+            self.assign_pos[n.index()] = k as u32;
+        }
+        self.frame.inject(Some(fault), ODD_LANES);
+        self.collect_cone(fault, opts);
+        Search {
+            src: fault.site.source_net(c),
+            want: Logic::from_bool(!fault.stuck.value()),
+            assigned: vec![Logic::X; assignable.len()],
+            assignable,
+            base_inputs,
+            state,
+            branch_gate: match fault.site {
+                FaultSite::Branch(pin) => Some(pin.net),
+                FaultSite::Stem(_) => None,
+            },
+            stack: Vec::new(),
+            backtracks: 0,
+            opts,
+            eng: self,
+        }
+        .run()
+    }
+
+    /// The frame evaluator, for callers that score vectors on the same
+    /// compiled circuit between searches.
+    pub(crate) fn frame(&mut self) -> &mut FrameSim<'a> {
+        &mut self.frame
+    }
+
+    /// Starts a fresh visit generation of `seen`.
+    fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            self.seen.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+
+    /// Collects into `cone`, in `comb_order` order, every gate whose good
+    /// and faulty values can differ: the fanout cone of the fault site and
+    /// of every flip-flop whose good and faulty present states differ.
+    /// Everywhere else both machines compute the same values, so no other
+    /// gate can carry or receive a fault effect.
+    fn collect_cone(&mut self, fault: Fault, opts: &PodemOptions) {
+        let c = self.circuit;
+        let epoch = self.next_epoch();
+        self.walk.clear();
+        match fault.site {
+            FaultSite::Stem(n) => self.walk.push(n),
+            FaultSite::Branch(pin) => {
+                if self.comb_pos[pin.net.index()] != NONE {
+                    self.walk.push(pin.net);
+                }
+            }
+        }
+        if let (Some(sg), Some(sb)) = (&opts.state_good, &opts.state_bad) {
+            for (i, &q) in c.dffs().iter().enumerate() {
+                if sg[i] != sb[i] {
+                    self.walk.push(q);
+                }
+            }
+        }
+        self.cone.clear();
+        while let Some(n) = self.walk.pop() {
+            if self.seen[n.index()] == epoch {
+                continue;
+            }
+            self.seen[n.index()] = epoch;
+            if self.comb_pos[n.index()] != NONE {
+                self.cone.push(n);
+            }
+            for pin in c.fanouts(n) {
+                let g = pin.net;
+                if self.comb_pos[g.index()] != NONE && self.seen[g.index()] != epoch {
+                    self.walk.push(g);
+                }
+            }
+        }
+        let comb_pos = &self.comb_pos;
+        self.cone.sort_unstable_by_key(|g| comb_pos[g.index()]);
+    }
+}
+
+/// The state of one PODEM search on an engine.
+struct Search<'e, 'a> {
+    eng: &'e mut PodemEngine<'a>,
+    opts: &'e PodemOptions,
+    /// The fault's source net and the value that excites the fault there.
+    src: NetId,
+    want: Logic,
+    /// For a branch fault, the net of the gate or flip-flop whose pin it
+    /// sits on.
+    branch_gate: Option<NetId>,
+    /// Input values before decisions: pinned or X.
+    base_inputs: Vec<Logic>,
+    /// Fixed-state mode: the (good, faulty) present state per flip-flop,
+    /// as pair words; empty in free-state mode.
+    state: Vec<WideWord<1>>,
     /// Frame-assignable nets: primary inputs (unpinned) and, in free-state
     /// mode, flip-flop outputs.
     assignable: Vec<NetId>,
     assigned: Vec<Logic>,
     /// Decision stack: (index into `assignable`, tried-both-values flag).
     stack: Vec<(usize, bool)>,
-    good: Vec<Logic>,
-    bad: Vec<Logic>,
     backtracks: usize,
 }
 
@@ -96,75 +360,52 @@ enum Status {
     Ongoing,
 }
 
-impl<'a> Podem<'a> {
-    fn new(circuit: &'a Circuit, scoap: &'a Scoap, fault: Fault, opts: &'a PodemOptions) -> Self {
-        debug_assert_eq!(opts.state_good.is_some(), opts.state_bad.is_some());
-        let mut assignable: Vec<NetId> = circuit
-            .inputs()
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !opts.pi_fixed.iter().any(|(p, _)| p == i))
-            .map(|(_, &n)| n)
-            .collect();
-        if opts.state_good.is_none() {
-            assignable.extend_from_slice(circuit.dffs());
-        }
-        Podem {
-            circuit,
-            scoap,
-            fault,
-            opts,
-            assigned: vec![Logic::X; assignable.len()],
-            assignable,
-            stack: Vec::new(),
-            good: vec![Logic::X; circuit.net_count()],
-            bad: vec![Logic::X; circuit.net_count()],
-            backtracks: 0,
-        }
-    }
-
+impl Search<'_, '_> {
     fn imply(&mut self) {
-        self.good.fill(Logic::X);
-        for &(pos, v) in &self.opts.pi_fixed {
-            self.good[self.circuit.inputs()[pos].index()] = v;
+        let e = &mut *self.eng;
+        for (pos, &v) in self.base_inputs.iter().enumerate() {
+            e.frame.set_input(pos, WideWord::broadcast(v));
         }
         for (&net, &v) in self.assignable.iter().zip(&self.assigned) {
-            self.good[net.index()] = v;
-        }
-        self.bad.clone_from(&self.good);
-        if let (Some(sg), Some(sb)) = (&self.opts.state_good, &self.opts.state_bad) {
-            for (i, &q) in self.circuit.dffs().iter().enumerate() {
-                self.good[q.index()] = sg[i];
-                self.bad[q.index()] = sb[i];
+            let w = WideWord::broadcast(v);
+            match e.pi_pos[net.index()] {
+                NONE => e.frame.set_state(e.ff_pos[net.index()] as usize, w),
+                pos => e.frame.set_input(pos as usize, w),
             }
         }
-        eval_comb(self.circuit, &mut self.good);
-        eval_comb_with(self.circuit, &mut self.bad, Some(self.fault));
+        for (ff, &w) in self.state.iter().enumerate() {
+            e.frame.set_state(ff, w);
+        }
+        e.frame.eval();
+    }
+
+    #[inline]
+    fn good(&self, n: NetId) -> Logic {
+        self.eng.frame.net(n).lane(0)
     }
 
     #[inline]
     fn effect_at(&self, n: NetId) -> bool {
-        self.good[n.index()].conflicts(self.bad[n.index()])
+        pair_effects(self.eng.frame.net(n)) & 1 != 0
     }
 
     #[inline]
     fn is_open(&self, n: NetId) -> bool {
-        self.good[n.index()] == Logic::X || self.bad[n.index()] == Logic::X
+        let w = self.eng.frame.net(n);
+        (w.v0[0] | w.v1[0]) & 0b11 != 0b11
     }
 
-    fn status(&self) -> Status {
+    fn status(&mut self) -> Status {
+        let c = self.eng.circuit;
         // Detection at primary outputs first, then at next-state lines.
-        for &po in self.circuit.outputs() {
+        for &po in c.outputs() {
             if self.effect_at(po) {
                 return Status::Detected(Observation::Po(po));
             }
         }
         if self.opts.observe_ppos {
-            for (j, &q) in self.circuit.dffs().iter().enumerate() {
-                let Driver::Dff { d } = self.circuit.net(q).driver() else {
-                    unreachable!("dffs holds flip-flops");
-                };
-                if self.effect_at(*d) {
+            for (j, &d) in self.eng.dff_d.iter().enumerate() {
+                if self.effect_at(d) {
                     return Status::Detected(Observation::Ppo(j));
                 }
             }
@@ -172,10 +413,8 @@ impl<'a> Podem<'a> {
 
         // Excitation: the source net must be able to take the non-stuck
         // value in the good machine.
-        let src = self.fault.site.source_net(self.circuit);
-        let want = Logic::from_bool(!self.fault.stuck.value());
-        let src_val = self.good[src.index()];
-        if src_val.is_binary() && src_val != want {
+        let src_val = self.good(self.src);
+        if src_val.is_binary() && src_val != self.want {
             return Status::Conflict;
         }
         if src_val == Logic::X {
@@ -183,69 +422,61 @@ impl<'a> Podem<'a> {
         }
 
         // Excited: the effect must have somewhere to go.
-        let frontier = self.d_frontier();
-        if frontier.is_empty() {
-            return Status::Conflict;
-        }
-        if !self.x_path_exists(&frontier) {
+        self.d_frontier();
+        if self.eng.frontier.is_empty() || !self.x_path_exists() {
             return Status::Conflict;
         }
         Status::Ongoing
     }
 
-    /// Gates with a fault effect on some fanin (or the branch-fault pin)
-    /// and an undetermined output.
-    fn d_frontier(&self) -> Vec<NetId> {
-        let mut frontier = Vec::new();
-        for &id in self.circuit.comb_order() {
+    /// Fills the engine's frontier with the gates that have a fault effect
+    /// on some fanin (or the branch-fault pin) and an undetermined output.
+    fn d_frontier(&mut self) {
+        let mut frontier = std::mem::take(&mut self.eng.frontier);
+        frontier.clear();
+        for &id in &self.eng.cone {
             if !self.is_open(id) || self.effect_at(id) {
                 continue;
             }
-            let Driver::Gate { fanins, .. } = self.circuit.net(id).driver() else {
-                continue;
-            };
-            let mut feeds_effect = fanins.iter().any(|&f| self.effect_at(f));
-            if let FaultSite::Branch(pin) = self.fault.site {
-                if pin.net == id {
-                    let src = self.fault.site.source_net(self.circuit);
-                    let want = Logic::from_bool(!self.fault.stuck.value());
-                    feeds_effect |= self.good[src.index()] == want;
-                }
-            }
+            let fanins = self.eng.circuit.net(id).driver().fanins();
+            let feeds_effect = fanins.iter().any(|&f| self.effect_at(f))
+                || (self.branch_gate == Some(id) && self.good(self.src) == self.want);
             if feeds_effect {
                 frontier.push(id);
             }
         }
-        frontier
+        self.eng.frontier = frontier;
     }
 
     /// Forward reachability from the frontier through undetermined nets to
     /// any observation point.
-    fn x_path_exists(&self, frontier: &[NetId]) -> bool {
-        let mut seen = vec![false; self.circuit.net_count()];
-        let mut stack: Vec<NetId> = frontier.to_vec();
+    fn x_path_exists(&mut self) -> bool {
+        let epoch = self.eng.next_epoch();
+        let mut stack = std::mem::take(&mut self.eng.walk);
+        stack.clear();
+        stack.extend_from_slice(&self.eng.frontier);
+        let found = self.reaches_observation(&mut stack, epoch);
+        self.eng.walk = stack;
+        found
+    }
+
+    fn reaches_observation(&mut self, stack: &mut Vec<NetId>, epoch: u32) -> bool {
         while let Some(n) = stack.pop() {
-            if seen[n.index()] {
+            if self.eng.seen[n.index()] == epoch {
                 continue;
             }
-            seen[n.index()] = true;
-            if self.circuit.is_output(n) {
+            self.eng.seen[n.index()] = epoch;
+            if self.eng.is_po[n.index()] {
                 return true;
             }
-            for pin in self.circuit.fanouts(n) {
+            for pin in self.eng.circuit.fanouts(n) {
                 let consumer = pin.net;
-                match self.circuit.net(consumer).driver() {
-                    Driver::Dff { .. } => {
-                        if self.opts.observe_ppos {
-                            return true; // reached a next-state line
-                        }
+                if self.eng.ff_pos[consumer.index()] != NONE {
+                    if self.opts.observe_ppos {
+                        return true; // reached a next-state line
                     }
-                    Driver::Gate { .. } => {
-                        if self.is_open(consumer) && !seen[consumer.index()] {
-                            stack.push(consumer);
-                        }
-                    }
-                    Driver::Input => unreachable!("inputs have no fanins"),
+                } else if self.is_open(consumer) && self.eng.seen[consumer.index()] != epoch {
+                    stack.push(consumer);
                 }
             }
         }
@@ -254,23 +485,23 @@ impl<'a> Podem<'a> {
 
     /// Next objective `(net, value)` for the backtrace.
     fn objective(&self) -> Option<(NetId, Logic)> {
-        let src = self.fault.site.source_net(self.circuit);
-        if self.good[src.index()] == Logic::X {
-            return Some((src, Logic::from_bool(!self.fault.stuck.value())));
+        if self.good(self.src) == Logic::X {
+            return Some((self.src, self.want));
         }
         // Propagate: pick the D-frontier gate closest to an observation
         // point and set one of its X inputs to the non-controlling value.
-        let frontier = self.d_frontier();
-        let gate = frontier.into_iter().min_by_key(|&g| self.scoap.co(g))?;
-        let Driver::Gate { kind, fanins } = self.circuit.net(gate).driver() else {
-            unreachable!("frontier holds gates");
-        };
-        let x_inputs: Vec<NetId> = fanins
+        // The frontier is the one the last status check computed.
+        let scoap = self.eng.scoap;
+        let gate = self
+            .eng
+            .frontier
             .iter()
             .copied()
-            .filter(|&f| self.good[f.index()] == Logic::X)
-            .collect();
-        let &pick = x_inputs.first()?;
+            .min_by_key(|&g| scoap.co(g))?;
+        let Driver::Gate { kind, fanins } = self.eng.circuit.net(gate).driver() else {
+            unreachable!("frontier holds gates");
+        };
+        let pick = fanins.iter().copied().find(|&f| self.good(f) == Logic::X)?;
         let value = match kind {
             GateKind::And | GateKind::Nand => Logic::One,
             GateKind::Or | GateKind::Nor => Logic::Zero,
@@ -292,42 +523,31 @@ impl<'a> Podem<'a> {
 
     /// Walks an objective back to an unassigned frame input.
     fn backtrace(&self, mut net: NetId, mut value: Logic) -> Option<(usize, Logic)> {
+        let scoap = self.eng.scoap;
         loop {
-            if let Some(pos) = self.assignable.iter().position(|&n| n == net) {
+            let pos = self.eng.assign_pos[net.index()];
+            if pos != NONE {
+                let pos = pos as usize;
                 return if self.assigned[pos] == Logic::X {
                     Some((pos, value))
                 } else {
                     None // already decided; objective unreachable this way
                 };
             }
-            match self.circuit.net(net).driver() {
+            match self.eng.circuit.net(net).driver() {
                 Driver::Input | Driver::Dff { .. } => return None, // pinned
                 Driver::Gate { kind, fanins } => {
-                    let xs: Vec<NetId> = fanins
-                        .iter()
-                        .copied()
-                        .filter(|&f| self.good[f.index()] == Logic::X)
-                        .collect();
-                    if xs.is_empty() {
-                        return None;
-                    }
+                    let xs = || fanins.iter().copied().filter(|&f| self.good(f) == Logic::X);
+                    let first_x = xs().next()?;
+                    let cost = |f: NetId, v: Logic| match v {
+                        Logic::Zero => scoap.cc0(f),
+                        _ => scoap.cc1(f),
+                    };
                     let easiest = |v: Logic| -> NetId {
-                        xs.iter()
-                            .copied()
-                            .min_by_key(|&f| match v {
-                                Logic::Zero => self.scoap.cc0(f),
-                                _ => self.scoap.cc1(f),
-                            })
-                            .expect("xs non-empty")
+                        xs().min_by_key(|&f| cost(f, v)).expect("an X fanin exists")
                     };
                     let hardest = |v: Logic| -> NetId {
-                        xs.iter()
-                            .copied()
-                            .max_by_key(|&f| match v {
-                                Logic::Zero => self.scoap.cc0(f),
-                                _ => self.scoap.cc1(f),
-                            })
-                            .expect("xs non-empty")
+                        xs().max_by_key(|&f| cost(f, v)).expect("an X fanin exists")
                     };
                     let (next, next_v) = match (kind, value) {
                         (GateKind::And, Logic::One) => (hardest(Logic::One), Logic::One),
@@ -338,16 +558,16 @@ impl<'a> Podem<'a> {
                         (GateKind::Or, _) => (easiest(Logic::One), Logic::One),
                         (GateKind::Nor, Logic::One) => (hardest(Logic::Zero), Logic::Zero),
                         (GateKind::Nor, _) => (easiest(Logic::One), Logic::One),
-                        (GateKind::Not, v) => (xs[0], v.not()),
-                        (GateKind::Buf, v) => (xs[0], v),
+                        (GateKind::Not, v) => (first_x, v.not()),
+                        (GateKind::Buf, v) => (first_x, v),
                         (GateKind::Xor | GateKind::Xnor, v) => {
                             // If all other inputs are binary the required
                             // value is determined; otherwise pick freely.
                             let others: Option<Logic> = fanins
                                 .iter()
-                                .filter(|&&f| f != xs[0])
+                                .filter(|&&f| f != first_x)
                                 .try_fold(Logic::Zero, |acc, &f| {
-                                    let fv = self.good[f.index()];
+                                    let fv = self.good(f);
                                     fv.is_binary().then(|| acc.xor(fv))
                                 });
                             let target = match others {
@@ -357,13 +577,13 @@ impl<'a> Podem<'a> {
                                 }
                                 None => Logic::Zero,
                             };
-                            (xs[0], target)
+                            (first_x, target)
                         }
                         (GateKind::Mux, v) => {
-                            let sel = self.good[fanins[0].index()];
-                            match sel {
-                                Logic::Zero if xs.contains(&fanins[1]) => (fanins[1], v),
-                                Logic::One if xs.contains(&fanins[2]) => (fanins[2], v),
+                            let x_at = |i: usize| self.good(fanins[i]) == Logic::X;
+                            match self.good(fanins[0]) {
+                                Logic::Zero if x_at(1) => (fanins[1], v),
+                                Logic::One if x_at(2) => (fanins[2], v),
                                 Logic::X => (fanins[0], Logic::Zero),
                                 _ => return None,
                             }
@@ -395,33 +615,11 @@ impl<'a> Podem<'a> {
         false
     }
 
-    fn run(&mut self) -> Option<PodemTest> {
+    fn run(mut self) -> Option<PodemTest> {
         self.imply();
         loop {
             match self.status() {
-                Status::Detected(obs) => {
-                    let n_pi = self.circuit.inputs().len();
-                    let mut inputs = vec![Logic::X; n_pi];
-                    for &(pos, v) in &self.opts.pi_fixed {
-                        inputs[pos] = v;
-                    }
-                    let mut state = match &self.opts.state_good {
-                        Some(s) => s.clone(),
-                        None => vec![Logic::X; self.circuit.dffs().len()],
-                    };
-                    for (k, &net) in self.assignable.iter().enumerate() {
-                        if let Some(pi_pos) = self.circuit.inputs().iter().position(|&p| p == net) {
-                            inputs[pi_pos] = self.assigned[k];
-                        } else if let Some(ff) = self.circuit.dff_position(net) {
-                            state[ff] = self.assigned[k];
-                        }
-                    }
-                    return Some(PodemTest {
-                        inputs,
-                        state,
-                        observation: obs,
-                    });
-                }
+                Status::Detected(obs) => return Some(self.test(obs)),
                 Status::Conflict => {
                     if !self.backtrack() {
                         return None;
@@ -445,12 +643,34 @@ impl<'a> Podem<'a> {
             }
         }
     }
+
+    /// The test the current assignment forms.
+    fn test(&self, observation: Observation) -> PodemTest {
+        let mut inputs = self.base_inputs.clone();
+        let mut state = match &self.opts.state_good {
+            Some(s) => s.clone(),
+            None => vec![Logic::X; self.eng.circuit.dffs().len()],
+        };
+        for (&net, &v) in self.assignable.iter().zip(&self.assigned) {
+            match self.eng.pi_pos[net.index()] {
+                NONE => state[self.eng.ff_pos[net.index()] as usize] = v,
+                pos => inputs[pos as usize] = v,
+            }
+        }
+        PodemTest {
+            inputs,
+            state,
+            observation,
+        }
+    }
 }
 
 /// Runs PODEM for one fault over one time frame of `circuit`.
 ///
 /// Returns `None` when no test exists under the given options (or the
 /// backtrack limit is hit). See the module documentation for the two modes.
+/// This compiles the circuit for a single search; callers that run many
+/// searches on one circuit build a [`PodemEngine`] once instead.
 ///
 /// # Example
 ///
@@ -471,7 +691,7 @@ pub fn podem(
     fault: Fault,
     opts: &PodemOptions,
 ) -> Option<PodemTest> {
-    Podem::new(circuit, scoap, fault, opts).run()
+    PodemEngine::new(circuit, scoap).run(fault, opts)
 }
 
 #[cfg(test)]
@@ -479,7 +699,7 @@ mod tests {
     use super::*;
     use limscan_fault::{FaultList, StuckAt};
     use limscan_netlist::benchmarks;
-    use limscan_sim::next_state;
+    use limscan_sim::{eval_comb_with, next_state};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -29,15 +29,16 @@ use rand::{Rng, SeedableRng};
 
 use limscan_fault::{Fault, FaultId, FaultList};
 use limscan_harness::{AtpgCursor, CancelToken, StopReason};
-use limscan_netlist::Circuit;
+use limscan_netlist::NetId;
 use limscan_obs::{Metric, ObsHandle, SpanKind};
 use limscan_scan::ScanCircuit;
-use limscan_sim::{
-    eval_comb, eval_comb_with, next_state, DetectionReport, Logic, SeqFaultSim, TestSequence,
-};
+use limscan_sim::{DetectionReport, FrameSim, Logic, SeqFaultSim, TestSequence, WideWord};
 
-use crate::podem::{podem, Observation, PodemOptions};
+use crate::podem::{pair_effects, pair_word, Observation, PodemEngine, PodemOptions, ODD_LANES};
 use crate::scoap::Scoap;
+
+/// Candidates scored per frame sweep: one lane pair each.
+const PAIRS: usize = 32;
 
 /// Tuning knobs for [`SequentialAtpg`].
 #[derive(Clone, Debug)]
@@ -213,6 +214,9 @@ impl<'a> SequentialAtpg<'a> {
     ) -> Result<AtpgOutcome, AtpgStop> {
         let c = self.scan.circuit();
         let mut sim = SeqFaultSim::new(c, self.faults);
+        // One PODEM engine for the whole run, on the simulator's compiled
+        // circuit.
+        let mut engine = PodemEngine::with_frame(&self.scoap, sim.frame_sim());
         let mut sequence;
         let mut rng;
         let mut funct_detected;
@@ -290,7 +294,7 @@ impl<'a> SequentialAtpg<'a> {
             span_obs.counter(Metric::AtpgEpisodes, 1);
             sim.set_obs(span_obs);
             let fault = self.faults.fault(fid);
-            match self.episode(fault, &sim, &mut rng) {
+            match self.episode(fault, &sim, &mut rng, &mut engine) {
                 Some((mut episode, kind)) => {
                     episode.specify_x(&mut rng);
                     sim.extend(&episode);
@@ -358,6 +362,7 @@ impl<'a> SequentialAtpg<'a> {
         fault: Fault,
         sim: &SeqFaultSim,
         rng: &mut StdRng,
+        engine: &mut PodemEngine,
     ) -> Option<(TestSequence, EpisodeKind)> {
         let c = self.scan.circuit();
         let fid = self
@@ -376,7 +381,7 @@ impl<'a> SequentialAtpg<'a> {
                 backtrack_limit: self.config.backtrack_limit,
                 observe_ppos: true,
             };
-            if let Some(t) = podem(c, &self.scoap, fault, &opts) {
+            if let Some(t) = engine.run(fault, &opts) {
                 episode.push(t.inputs.clone());
                 return Some(match t.observation {
                     Observation::Po(_) => (episode, EpisodeKind::Direct),
@@ -385,7 +390,7 @@ impl<'a> SequentialAtpg<'a> {
                             // Without scan knowledge a latched effect is not
                             // yet a detection; apply the vector and keep
                             // searching (a later frame may propagate it).
-                            step_states(c, fault, &t.inputs, &mut gstate, &mut bstate);
+                            step_states(engine.frame(), fault, &t.inputs, &mut gstate, &mut bstate);
                             continue;
                         }
                         self.append_shift_out(&mut episode, j);
@@ -404,8 +409,8 @@ impl<'a> SequentialAtpg<'a> {
             }
 
             // Advance the state with the best-scoring candidate vector.
-            let v = self.advancing_vector(fault, &gstate, &bstate, rng);
-            step_states(c, fault, &v, &mut gstate, &mut bstate);
+            let v = self.advancing_vector(engine.frame(), fault, &gstate, &bstate, rng);
+            step_states(engine.frame(), fault, &v, &mut gstate, &mut bstate);
             episode.push(v);
         }
 
@@ -419,7 +424,7 @@ impl<'a> SequentialAtpg<'a> {
                 backtrack_limit: self.config.backtrack_limit,
                 observe_ppos: true,
             };
-            if let Some(t) = podem(c, &self.scoap, fault, &opts) {
+            if let Some(t) = engine.run(fault, &opts) {
                 let mut episode = TestSequence::new(c.inputs().len());
                 episode.extend_from(&self.scan.load_state_vectors(&t.state));
                 episode.push(t.inputs);
@@ -446,61 +451,110 @@ impl<'a> SequentialAtpg<'a> {
     }
 
     /// Picks the candidate vector that drives the fault furthest toward
-    /// detection, scored by frame simulation.
+    /// detection, scored by frame simulation. The first best-scoring
+    /// candidate wins.
     fn advancing_vector(
         &self,
+        frame: &mut FrameSim,
         fault: Fault,
         gstate: &[Logic],
         bstate: &[Logic],
         rng: &mut StdRng,
     ) -> Vec<Logic> {
         let c = self.scan.circuit();
-        let mut best: Option<(u64, Vec<Logic>)> = None;
-        for _ in 0..self.config.random_candidates.max(1) {
-            let mut v: Vec<Logic> = (0..c.inputs().len())
-                .map(|_| Logic::from_bool(rng.gen()))
-                .collect();
-            v[self.scan.scan_sel_pos()] = Logic::from_bool(rng.gen_bool(0.15));
-            let score = self.score_vector(fault, gstate, bstate, &v);
-            if best.as_ref().is_none_or(|(s, _)| score > *s) {
-                best = Some((score, v));
+        let mut candidates: Vec<Vec<Logic>> = (0..self.config.random_candidates.max(1))
+            .map(|_| {
+                let mut v: Vec<Logic> = (0..c.inputs().len())
+                    .map(|_| Logic::from_bool(rng.gen()))
+                    .collect();
+                v[self.scan.scan_sel_pos()] = Logic::from_bool(rng.gen_bool(0.15));
+                v
+            })
+            .collect();
+        let mut best: Option<(u64, usize)> = None;
+        for (chunk, batch) in candidates.chunks(PAIRS).enumerate() {
+            let scores = self.score_vectors(frame, fault, gstate, bstate, batch);
+            for (k, score) in scores.into_iter().enumerate() {
+                if best.is_none_or(|(s, _)| score > s) {
+                    best = Some((score, chunk * PAIRS + k));
+                }
             }
         }
-        best.expect("at least one candidate").1
+        let (_, pick) = best.expect("at least one candidate");
+        candidates.swap_remove(pick)
     }
 
-    /// Frame-simulates one candidate and scores the resulting position:
-    /// effects latched into flip-flops dominate (deeper in the chain is
-    /// better), then effects anywhere in the logic weighted by
-    /// observability, then excitation of the fault site.
-    fn score_vector(&self, fault: Fault, gstate: &[Logic], bstate: &[Logic], v: &[Logic]) -> u64 {
+    /// Frame-simulates up to [`PAIRS`] candidates in one sweep, candidate
+    /// `k` in lane pair `k`, and scores each resulting position: effects
+    /// latched into flip-flops dominate (deeper in the chain is better),
+    /// then effects anywhere in the logic weighted by observability, then
+    /// excitation of the fault site.
+    fn score_vectors(
+        &self,
+        frame: &mut FrameSim,
+        fault: Fault,
+        gstate: &[Logic],
+        bstate: &[Logic],
+        candidates: &[Vec<Logic>],
+    ) -> Vec<u64> {
+        debug_assert!(candidates.len() <= PAIRS);
         let c = self.scan.circuit();
-        let mut gv = vec![Logic::X; c.net_count()];
-        let mut bv = vec![Logic::X; c.net_count()];
-        load_frame(c, &mut gv, v, gstate);
-        eval_comb(c, &mut gv);
-        load_frame(c, &mut bv, v, bstate);
-        eval_comb_with(c, &mut bv, Some(fault));
-
-        let gn = next_state(c, &gv, None);
-        let bn = next_state(c, &bv, Some(fault));
-        if let Some(j) = deepest_effect(&gn, &bn) {
-            return 1_000_000 + j as u64;
+        frame.inject(Some(fault), ODD_LANES);
+        for pos in 0..c.inputs().len() {
+            let mut w = WideWord::ALL_X;
+            for (k, v) in candidates.iter().enumerate() {
+                let pair = 0b11u64 << (2 * k);
+                match v[pos] {
+                    Logic::Zero => w.v0[0] |= pair,
+                    Logic::One => w.v1[0] |= pair,
+                    Logic::X => {}
+                }
+            }
+            frame.set_input(pos, w);
         }
-        let mut best_effect: Option<u32> = None;
-        for i in 0..c.net_count() {
-            if gv[i].conflicts(bv[i]) {
-                let co = self.scoap.co(limscan_netlist::NetId::from_index(i));
-                best_effect = Some(best_effect.map_or(co, |b| b.min(co)));
+        set_states(frame, gstate, bstate);
+        frame.eval();
+
+        let mut scores = vec![0u64; candidates.len()];
+        // Bit 2k stands for candidate k while its score is still open.
+        let mut open = (0..candidates.len()).fold(0u64, |m, k| m | 1 << (2 * k));
+        // Effects latched into flip-flops, deepest first.
+        for j in (0..gstate.len()).rev() {
+            let hits = pair_effects(frame.next_state(j)) & open;
+            for_each_pair(hits, |k| scores[k] = 1_000_000 + j as u64);
+            open &= !hits;
+        }
+        // Effects anywhere in the logic: the most observable one counts.
+        let mut best_co = vec![u32::MAX; candidates.len()];
+        let mut affected = 0u64;
+        if open != 0 {
+            for (i, &w) in frame.nets().iter().enumerate() {
+                let hits = pair_effects(w) & open;
+                if hits != 0 {
+                    let co = self.scoap.co(NetId::from_index(i));
+                    for_each_pair(hits, |k| best_co[k] = best_co[k].min(co));
+                    affected |= hits;
+                }
             }
         }
-        if let Some(co) = best_effect {
-            return 10_000 + 5_000u64.saturating_sub(co as u64);
-        }
+        for_each_pair(affected, |k| {
+            scores[k] = 10_000 + 5_000u64.saturating_sub(u64::from(best_co[k]));
+        });
         // Not excited: reward making the site take the non-stuck value.
-        let src = fault.site.source_net(c);
+        let src = frame.net(fault.site.source_net(c));
         let want = Logic::from_bool(!fault.stuck.value());
-        u64::from(gv[src.index()] == want)
+        for_each_pair(open & !affected, |k| {
+            scores[k] = u64::from(src.lane(2 * k) == want);
+        });
+        scores
+    }
+}
+
+/// Calls `f(k)` for every pair `k` whose bit `2k` is set in `pairs`.
+fn for_each_pair(mut pairs: u64, mut f: impl FnMut(usize)) {
+    while pairs != 0 {
+        f(pairs.trailing_zeros() as usize / 2);
+        pairs &= pairs - 1;
     }
 }
 
@@ -512,37 +566,38 @@ fn deepest_effect(gstate: &[Logic], bstate: &[Logic]) -> Option<usize> {
         .find(|&j| gstate[j].conflicts(bstate[j]))
 }
 
-fn load_frame(c: &Circuit, values: &mut [Logic], inputs: &[Logic], state: &[Logic]) {
-    values.fill(Logic::X);
-    for (&pi, &v) in c.inputs().iter().zip(inputs) {
-        values[pi.index()] = v;
-    }
-    for (&q, &v) in c.dffs().iter().zip(state) {
-        values[q.index()] = v;
+/// Loads a (good, faulty) state pair into every lane pair of the frame.
+fn set_states(frame: &mut FrameSim, gstate: &[Logic], bstate: &[Logic]) {
+    for (ff, (&g, &b)) in gstate.iter().zip(bstate).enumerate() {
+        frame.set_state(ff, pair_word(g, b));
     }
 }
 
 /// Advances a (good, faulty) state pair by one vector.
 fn step_states(
-    c: &Circuit,
+    frame: &mut FrameSim,
     fault: Fault,
     inputs: &[Logic],
-    gstate: &mut Vec<Logic>,
-    bstate: &mut Vec<Logic>,
+    gstate: &mut [Logic],
+    bstate: &mut [Logic],
 ) {
-    let mut gv = vec![Logic::X; c.net_count()];
-    let mut bv = vec![Logic::X; c.net_count()];
-    load_frame(c, &mut gv, inputs, gstate);
-    eval_comb(c, &mut gv);
-    load_frame(c, &mut bv, inputs, bstate);
-    eval_comb_with(c, &mut bv, Some(fault));
-    *gstate = next_state(c, &gv, None);
-    *bstate = next_state(c, &bv, Some(fault));
+    frame.inject(Some(fault), ODD_LANES);
+    for (pos, &v) in inputs.iter().enumerate() {
+        frame.set_input(pos, WideWord::broadcast(v));
+    }
+    set_states(frame, gstate, bstate);
+    frame.eval();
+    for (ff, (g, b)) in gstate.iter_mut().zip(bstate.iter_mut()).enumerate() {
+        let w = frame.next_state(ff);
+        *g = w.lane(0);
+        *b = w.lane(1);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::podem::podem;
     use limscan_netlist::benchmarks;
 
     fn run_s27(config: AtpgConfig) -> (ScanCircuit, FaultList, AtpgOutcome) {
@@ -756,5 +811,91 @@ mod tests {
             run_lengths.iter().any(|&r| r < sc.n_sv()),
             "expected limited scan operations, got runs {run_lengths:?}"
         );
+    }
+
+    /// One scalar frame: every net value and the next state.
+    fn scalar_frame(
+        c: &limscan_netlist::Circuit,
+        v: &[Logic],
+        state: &[Logic],
+        f: Option<Fault>,
+    ) -> (Vec<Logic>, Vec<Logic>) {
+        use limscan_sim::{eval_comb_with, next_state};
+        let mut vals = vec![Logic::X; c.net_count()];
+        for (&pi, &x) in c.inputs().iter().zip(v) {
+            vals[pi.index()] = x;
+        }
+        for (&q, &x) in c.dffs().iter().zip(state) {
+            vals[q.index()] = x;
+        }
+        eval_comb_with(c, &mut vals, f);
+        let next = next_state(c, &vals, f);
+        (vals, next)
+    }
+
+    /// Scalar reference for `score_vectors`: one `eval_comb_with` pass
+    /// per machine and candidate.
+    fn scalar_score(
+        atpg: &SequentialAtpg,
+        fault: Fault,
+        gstate: &[Logic],
+        bstate: &[Logic],
+        v: &[Logic],
+    ) -> u64 {
+        let c = atpg.scan.circuit();
+        let (gv, gn) = scalar_frame(c, v, gstate, None);
+        let (bv, bn) = scalar_frame(c, v, bstate, Some(fault));
+        if let Some(j) = deepest_effect(&gn, &bn) {
+            return 1_000_000 + j as u64;
+        }
+        let best = (0..c.net_count())
+            .filter(|&i| gv[i].conflicts(bv[i]))
+            .map(|i| atpg.scoap.co(NetId::from_index(i)))
+            .min();
+        if let Some(co) = best {
+            return 10_000 + 5_000u64.saturating_sub(u64::from(co));
+        }
+        let src = fault.site.source_net(c);
+        u64::from(gv[src.index()] == Logic::from_bool(!fault.stuck.value()))
+    }
+
+    #[test]
+    fn frame_scoring_and_stepping_match_the_scalar_reference() {
+        // 70 candidates: two full 32-pair sweeps and a partial one.
+        let sc = ScanCircuit::insert(&benchmarks::load("s298").expect("embedded benchmark"));
+        let c = sc.circuit();
+        let faults = FaultList::collapsed(c);
+        let atpg = SequentialAtpg::new(&sc, &faults, AtpgConfig::default());
+        let sim = SeqFaultSim::new(c, &faults);
+        let mut frame = sim.frame_sim();
+        let mut rng = StdRng::seed_from_u64(0x5C0);
+        let logic = |rng: &mut StdRng| match rng.gen_range(0..3) {
+            0 => Logic::Zero,
+            1 => Logic::One,
+            _ => Logic::X,
+        };
+        for (_, fault) in faults.iter().step_by(5) {
+            let gstate: Vec<Logic> = (0..c.dffs().len()).map(|_| logic(&mut rng)).collect();
+            let mut bstate = gstate.clone();
+            let j = rng.gen_range(0..bstate.len());
+            bstate[j] = logic(&mut rng);
+            let candidates: Vec<Vec<Logic>> = (0..70)
+                .map(|_| (0..c.inputs().len()).map(|_| logic(&mut rng)).collect())
+                .collect();
+            let scores: Vec<u64> = candidates
+                .chunks(PAIRS)
+                .flat_map(|batch| atpg.score_vectors(&mut frame, fault, &gstate, &bstate, batch))
+                .collect();
+            let expect: Vec<u64> = candidates
+                .iter()
+                .map(|v| scalar_score(&atpg, fault, &gstate, &bstate, v))
+                .collect();
+            assert_eq!(scores, expect, "{}", fault.display_name(c));
+
+            let (mut g, mut b) = (gstate.clone(), bstate.clone());
+            step_states(&mut frame, fault, &candidates[0], &mut g, &mut b);
+            assert_eq!(g, scalar_frame(c, &candidates[0], &gstate, None).1);
+            assert_eq!(b, scalar_frame(c, &candidates[0], &bstate, Some(fault)).1);
+        }
     }
 }

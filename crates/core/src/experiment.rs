@@ -136,16 +136,18 @@ impl CircuitExperiment {
     /// Classifying the undetected faults (for the `untestable` column)
     /// costs one free-state PODEM run per undetected fault.
     pub fn table5(&self) -> Table5Row {
-        use limscan_atpg::{podem, PodemOptions, Scoap};
+        use limscan_atpg::{PodemEngine, PodemOptions, Scoap};
         let g = &self.generation;
         let c = g.scan.circuit();
         let scoap = Scoap::compute(c);
+        let mut engine = PodemEngine::new(c, &scoap);
+        let opts = PodemOptions::default();
         let untestable = g
             .generated
             .report
             .undetected()
             .iter()
-            .filter(|&&id| podem(c, &scoap, g.faults.fault(id), &PodemOptions::default()).is_none())
+            .filter(|&&id| engine.run(g.faults.fault(id), &opts).is_none())
             .count();
         let detected = g.generated.report.detected_count();
         let testable = g.faults.len() - untestable;

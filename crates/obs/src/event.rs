@@ -10,7 +10,8 @@
 /// `TranslationFlow` run, `Pass` spans cover its phases (and the per-pass
 /// loops inside compaction), `Episode` spans cover one restoration or ATPG
 /// episode, `Trial` spans cover one omission trial or restoration probe, and
-/// `Batch` spans cover one 64-fault simulation batch.
+/// `Batch` spans cover one fault-simulation batch of up to `LANES` (256)
+/// faults.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SpanKind {
     /// A whole flow run (generation or translation).
@@ -21,7 +22,8 @@ pub enum SpanKind {
     Episode,
     /// One omission trial or restoration probe.
     Trial,
-    /// One 64-fault simulation batch inside `SeqFaultSim::extend`.
+    /// One batch of up to `LANES` (256) faults inside
+    /// `SeqFaultSim::extend`.
     Batch,
 }
 
@@ -53,7 +55,8 @@ pub enum Metric {
     VectorsSimulated,
     /// Faults newly marked detected by an observed pass.
     FaultsDetected,
-    /// 64-fault batches dispatched by observed passes.
+    /// Fault batches (up to `LANES` = 256 faults each) dispatched by
+    /// observed passes.
     BatchesSimulated,
     /// Omission trials attempted (including discarded speculative ones).
     TrialsAttempted,
@@ -71,7 +74,8 @@ pub enum Metric {
     AtpgEpisodes,
     /// Scan-load operations emitted by deterministic ATPG.
     ScanLoads,
-    /// 64-fault batches replayed on the dense oracle after a worker panic.
+    /// Fault batches (up to `LANES` = 256 faults each) replayed on the
+    /// dense oracle after a worker panic.
     DegradedBatches,
     /// Omission trials replayed on the reference oracle after a worker
     /// panic.

@@ -9,11 +9,14 @@
 //! branchless sweep of the compiled flat op stream — the same kernel
 //! machinery as the sequential engine, but without state carry-over.
 
+use std::sync::Arc;
+
 use limscan_fault::{FaultId, FaultList};
 use limscan_netlist::{Circuit, Driver};
 
 use crate::engine::{sweep_ops, Topology};
 use crate::flat::WideInjection;
+use crate::frame::FrameSim;
 use crate::logic::Logic;
 use crate::parallel::{mask, WideWord, LANES, LANE_WORDS};
 
@@ -38,7 +41,7 @@ use crate::parallel::{mask, WideWord, LANES, LANE_WORDS};
 pub struct CombFaultSim<'a> {
     circuit: &'a Circuit,
     faults: &'a FaultList,
-    topo: Topology,
+    topo: Arc<Topology>,
     inj: WideInjection<LANE_WORDS>,
     /// Wide value slots (nets + shared temps) for the dense sweep.
     vals: Vec<WideWord<LANE_WORDS>>,
@@ -51,7 +54,7 @@ pub struct CombFaultSim<'a> {
 impl<'a> CombFaultSim<'a> {
     /// Creates an evaluator for the given circuit and fault list.
     pub fn new(circuit: &'a Circuit, faults: &'a FaultList) -> Self {
-        let topo = Topology::build(circuit);
+        let topo = Arc::new(Topology::build(circuit));
         let inj = WideInjection::new(
             circuit.net_count(),
             topo.flat.ops.len(),
@@ -70,6 +73,11 @@ impl<'a> CombFaultSim<'a> {
             good,
             tmp,
         }
+    }
+
+    /// A single-frame evaluator sharing this simulator's compiled circuit.
+    pub fn frame_sim(&self) -> FrameSim<'a> {
+        FrameSim::with_topology(self.circuit, Arc::clone(&self.topo))
     }
 
     /// Evaluates one frame under the conventional semantics and returns,
@@ -123,15 +131,7 @@ impl<'a> CombFaultSim<'a> {
 
         let mut out = vec![false; ids.len()];
         for (chunk_start, batch) in ids.chunks(LANES).enumerate().map(|(k, b)| (k * LANES, b)) {
-            self.inj.load(
-                circuit,
-                flat,
-                &self.topo.pos_of,
-                &self.topo.dff_pos_of,
-                &self.topo.fanin_off,
-                self.faults,
-                batch,
-            );
+            self.inj.load(circuit, &self.topo, self.faults, batch);
             let full_mask = mask::full::<LANE_WORDS>(batch.len());
 
             // Sources with stem forces, then one dense sweep of the whole

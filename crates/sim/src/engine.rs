@@ -651,15 +651,7 @@ impl<'a, 'b, const W: usize> BatchStepper<'a, 'b, W> {
     ) -> Self {
         s.ensure(circuit, topo);
         let flat = &topo.flat;
-        s.inj.load(
-            circuit,
-            flat,
-            &topo.pos_of,
-            &topo.dff_pos_of,
-            &topo.fanin_off,
-            faults,
-            batch,
-        );
+        s.inj.load(circuit, topo, faults, batch);
         let full_mask = mask::full::<W>(batch.len());
 
         // Split the batch's injection sites by what they force each time

@@ -29,6 +29,7 @@ use crate::engine::{
     fault_dropping, run_batch, sim_threads, with_kernel, with_trace, BatchOutcome, ExtendCtx,
     KernelScratch, Topology, PARALLEL_THRESHOLD,
 };
+use crate::frame::FrameSim;
 use crate::good::{eval_comb, next_state};
 use crate::logic::Logic;
 use crate::parallel::{mask, WideWord, Word3, LANE_WORDS};
@@ -924,6 +925,11 @@ impl<'a> SeqFaultSim<'a> {
             .filter(|(_, d)| d.is_none())
             .map(|(i, _)| FaultId::from_index(i))
             .collect()
+    }
+
+    /// A single-frame evaluator sharing this simulator's compiled circuit.
+    pub fn frame_sim(&self) -> FrameSim<'a> {
+        FrameSim::with_topology(self.circuit, Arc::clone(&self.topo))
     }
 
     /// The fault-free machine state after everything applied so far.

@@ -27,9 +27,10 @@
 //! transfer. Patches are the only per-op conditional work, and the dense
 //! sweep hoists them out by running branchless spans between patched ops.
 
-use limscan_fault::{FaultId, FaultList, FaultSite, StuckAt};
+use limscan_fault::{Fault, FaultId, FaultList, FaultSite, StuckAt};
 use limscan_netlist::{Circuit, Driver, GateKind};
 
+use crate::engine::Topology;
 use crate::logic::Logic;
 use crate::parallel::WideWord;
 
@@ -584,84 +585,98 @@ impl<const W: usize> WideInjection<W> {
 
     /// Loads the injection state for one batch of ≤ `64 * W` faults; lane
     /// `i` carries `batch[i]`.
-    ///
-    /// `pos_of` / `dff_pos_of` / `fanin_off` come from the topology and
-    /// `flat` from the lowering; the method distributes each fault to the
-    /// mechanism that realises it (source mask, op patch, or FF force).
-    #[allow(clippy::too_many_arguments)] // topology lookups passed flat to avoid a borrow of Topology
     pub(crate) fn load(
         &mut self,
         circuit: &Circuit,
-        flat: &FlatNetlist,
-        pos_of: &[u32],
-        dff_pos_of: &[u32],
-        fanin_off: &[u32],
+        topo: &Topology,
         faults: &FaultList,
         batch: &[FaultId],
     ) {
         debug_assert!(batch.len() <= 64 * W);
         self.clear();
         for (lane, &fid) in batch.iter().enumerate() {
-            let (w, m) = (lane / 64, 1u64 << (lane % 64));
-            let fault = faults.fault(fid);
-            let sa0 = fault.stuck == StuckAt::Zero;
-            match fault.site {
-                FaultSite::Stem(n) => match circuit.net(n).driver() {
-                    Driver::Gate { .. } => {
-                        let pos = pos_of[n.index()];
-                        self.mark_gate(pos);
-                        let p = self.patch_mut(flat.stem_op[pos as usize]);
-                        if sa0 {
-                            p.o_sa0[w] |= m;
-                        } else {
-                            p.o_sa1[w] |= m;
-                        }
-                    }
-                    _ => {
-                        let n = n.index();
-                        if self.src_sa0[n] == [0; W] && self.src_sa1[n] == [0; W] {
-                            self.src_forced.push(n as u32);
-                        }
-                        if sa0 {
-                            self.src_sa0[n][w] |= m;
-                        } else {
-                            self.src_sa1[n][w] |= m;
-                        }
-                    }
-                },
-                FaultSite::Branch(pin) => match circuit.net(pin.net).driver() {
-                    Driver::Gate { .. } => {
-                        let pos = pos_of[pin.net.index()];
-                        self.mark_gate(pos);
-                        let g = (fanin_off[pos as usize] + u32::from(pin.pin)) as usize;
-                        for k in 0..flat.pin_targets(g).len() {
-                            let (op_idx, slot) = flat.pin_targets(g)[k];
-                            let p = self.patch_mut(op_idx);
-                            let target = match (slot, sa0) {
-                                (0, true) => &mut p.a_sa0,
-                                (0, false) => &mut p.a_sa1,
-                                (_, true) => &mut p.b_sa0,
-                                (_, false) => &mut p.b_sa1,
-                            };
-                            target[w] |= m;
-                        }
-                    }
-                    Driver::Dff { .. } => {
-                        let ffi = dff_pos_of[pin.net.index()] as usize;
-                        if self.ff_sa0[ffi] == [0; W] && self.ff_sa1[ffi] == [0; W] {
-                            self.ff_forced.push(ffi as u32);
-                        }
-                        if sa0 {
-                            self.ff_sa0[ffi][w] |= m;
-                        } else {
-                            self.ff_sa1[ffi][w] |= m;
-                        }
-                    }
-                    Driver::Input => unreachable!("primary inputs have no fanin pins"),
-                },
-            }
+            let mut lanes = [0u64; W];
+            lanes[lane / 64] = 1u64 << (lane % 64);
+            self.add(circuit, topo, faults.fault(fid), &lanes);
         }
         self.patch_ops.sort_unstable();
+    }
+
+    /// Loads one fault (or none) into every lane set in `lanes`, replacing
+    /// the previous injection.
+    pub(crate) fn load_fault(
+        &mut self,
+        circuit: &Circuit,
+        topo: &Topology,
+        fault: Option<Fault>,
+        lanes: &[u64; W],
+    ) {
+        self.clear();
+        if let Some(fault) = fault {
+            self.add(circuit, topo, fault, lanes);
+            self.patch_ops.sort_unstable();
+        }
+    }
+
+    /// Distributes one fault to the mechanism that realises it: a source
+    /// mask, op patches, or a flip-flop force.
+    fn add(&mut self, circuit: &Circuit, topo: &Topology, fault: Fault, lanes: &[u64; W]) {
+        let flat = &topo.flat;
+        let or = |target: &mut [u64; W]| {
+            for (t, &m) in target.iter_mut().zip(lanes) {
+                *t |= m;
+            }
+        };
+        let sa0 = fault.stuck == StuckAt::Zero;
+        match fault.site {
+            FaultSite::Stem(n) => match circuit.net(n).driver() {
+                Driver::Gate { .. } => {
+                    let pos = topo.pos_of[n.index()];
+                    self.mark_gate(pos);
+                    let p = self.patch_mut(flat.stem_op[pos as usize]);
+                    or(if sa0 { &mut p.o_sa0 } else { &mut p.o_sa1 });
+                }
+                _ => {
+                    let n = n.index();
+                    if self.src_sa0[n] == [0; W] && self.src_sa1[n] == [0; W] {
+                        self.src_forced.push(n as u32);
+                    }
+                    or(if sa0 {
+                        &mut self.src_sa0[n]
+                    } else {
+                        &mut self.src_sa1[n]
+                    });
+                }
+            },
+            FaultSite::Branch(pin) => match circuit.net(pin.net).driver() {
+                Driver::Gate { .. } => {
+                    let pos = topo.pos_of[pin.net.index()];
+                    self.mark_gate(pos);
+                    let g = (topo.fanin_off[pos as usize] + u32::from(pin.pin)) as usize;
+                    for &(op_idx, slot) in flat.pin_targets(g) {
+                        let p = self.patch_mut(op_idx);
+                        or(match (slot, sa0) {
+                            (0, true) => &mut p.a_sa0,
+                            (0, false) => &mut p.a_sa1,
+                            (_, true) => &mut p.b_sa0,
+                            (_, false) => &mut p.b_sa1,
+                        });
+                    }
+                }
+                Driver::Dff { .. } => {
+                    let ffi = topo.dff_pos_of[pin.net.index()] as usize;
+                    if self.ff_sa0[ffi] == [0; W] && self.ff_sa1[ffi] == [0; W] {
+                        self.ff_forced.push(ffi as u32);
+                    }
+                    or(if sa0 {
+                        &mut self.ff_sa0[ffi]
+                    } else {
+                        &mut self.ff_sa1[ffi]
+                    });
+                }
+                Driver::Input => unreachable!("primary inputs have no fanin pins"),
+            },
+        }
     }
 
     /// Applies the stem force of a source net (no-op for unforced nets).

@@ -1,0 +1,143 @@
+//! One combinational time frame, 64 machines per sweep.
+//!
+//! [`FrameSim`] evaluates a frame — primary inputs and present state in,
+//! every net and the next state out — as one dense sweep of the compiled
+//! op stream over [`WideWord<1>`] words. Each of the 64 lanes is an
+//! independent machine with its own source values. A stuck-at fault is
+//! injected into a chosen set of lanes through the same source forces and
+//! op patches the fault simulator uses, so a faulty lane computes exactly
+//! what [`eval_comb_with`](crate::eval_comb_with) computes and a
+//! fault-free lane what [`eval_comb`](crate::eval_comb) computes.
+//! Flip-flop D-pin branch faults act only at the state transfer, as in
+//! [`next_state`](crate::next_state): net values never see them, and
+//! [`FrameSim::next_state`] applies them.
+//!
+//! Test generation uses the frame to imply a good and a faulty machine
+//! side by side, and to score many candidate vectors in one sweep.
+
+use std::sync::Arc;
+
+use limscan_fault::Fault;
+use limscan_netlist::{Circuit, NetId};
+
+use crate::engine::{sweep_ops, Topology};
+use crate::flat::WideInjection;
+use crate::parallel::WideWord;
+
+/// A compiled single-frame evaluator over 64 lanes.
+///
+/// Sources keep their values between sweeps. After
+/// [`inject`](Self::inject), set every primary input and flip-flop before
+/// the next [`eval`](Self::eval): a source's stuck-at force is applied when
+/// it is set.
+///
+/// # Example
+///
+/// ```
+/// use limscan_fault::{Fault, StuckAt};
+/// use limscan_netlist::benchmarks;
+/// use limscan_sim::{FrameSim, Logic, WideWord};
+///
+/// let c = benchmarks::s27();
+/// let mut frame = FrameSim::new(&c);
+/// // Lane 0 fault-free, lane 1 with G0 stuck-at-0.
+/// let g0 = c.find_net("G0").unwrap();
+/// frame.inject(Some(Fault::stem(g0, StuckAt::Zero)), 0b10);
+/// for pos in 0..c.inputs().len() {
+///     frame.set_input(pos, WideWord::broadcast(Logic::One));
+/// }
+/// for ff in 0..c.dffs().len() {
+///     frame.set_state(ff, WideWord::broadcast(Logic::Zero));
+/// }
+/// frame.eval();
+/// assert_eq!(frame.net(g0).lane(0), Logic::One);
+/// assert_eq!(frame.net(g0).lane(1), Logic::Zero);
+/// ```
+pub struct FrameSim<'a> {
+    circuit: &'a Circuit,
+    topo: Arc<Topology>,
+    inj: WideInjection<1>,
+    /// Value slots: nets first, then the op stream's shared scratch.
+    vals: Vec<WideWord<1>>,
+}
+
+impl<'a> FrameSim<'a> {
+    /// Compiles `circuit` and creates an evaluator with every lane
+    /// fault-free and every value X.
+    pub fn new(circuit: &'a Circuit) -> Self {
+        FrameSim::with_topology(circuit, Arc::new(Topology::build(circuit)))
+    }
+
+    /// An evaluator over an already compiled topology of `circuit`.
+    pub(crate) fn with_topology(circuit: &'a Circuit, topo: Arc<Topology>) -> Self {
+        let flat = &topo.flat;
+        let inj = WideInjection::new(
+            circuit.net_count(),
+            flat.ops.len(),
+            circuit.comb_order().len(),
+            circuit.dffs().len(),
+        );
+        let vals = vec![WideWord::ALL_X; flat.n_slots];
+        FrameSim {
+            circuit,
+            topo,
+            inj,
+            vals,
+        }
+    }
+
+    /// The circuit this evaluator was compiled from.
+    pub fn circuit(&self) -> &'a Circuit {
+        self.circuit
+    }
+
+    /// Injects `fault` into the lanes set in `lanes` and makes every other
+    /// lane fault-free, replacing the previous injection. `None` makes
+    /// every lane fault-free.
+    pub fn inject(&mut self, fault: Option<Fault>, lanes: u64) {
+        self.inj
+            .load_fault(self.circuit, &self.topo, fault, &[lanes]);
+    }
+
+    /// Sets primary input `pos` (declaration order) in every lane.
+    #[inline]
+    pub fn set_input(&mut self, pos: usize, w: WideWord<1>) {
+        let net = self.topo.pi()[pos] as usize;
+        self.vals[net] = self.inj.force_src(net, w);
+    }
+
+    /// Sets the present state of flip-flop `ff` (chain order) in every
+    /// lane.
+    #[inline]
+    pub fn set_state(&mut self, ff: usize, w: WideWord<1>) {
+        let net = self.topo.dff_q()[ff] as usize;
+        self.vals[net] = self.inj.force_src(net, w);
+    }
+
+    /// Evaluates every gate of the frame from the current source values.
+    pub fn eval(&mut self) {
+        let ops = &self.topo.flat.ops;
+        sweep_ops(ops, &mut self.vals, &self.inj, 0, ops.len() as u32);
+    }
+
+    /// The value of `net` after the last [`eval`](Self::eval).
+    #[inline]
+    pub fn net(&self, net: NetId) -> WideWord<1> {
+        self.vals[net.index()]
+    }
+
+    /// Every net's value after the last [`eval`](Self::eval), indexed by
+    /// [`NetId::index`].
+    #[inline]
+    pub fn nets(&self) -> &[WideWord<1>] {
+        &self.vals[..self.circuit.net_count()]
+    }
+
+    /// The next state of flip-flop `ff`: its D net's value, with an
+    /// injected D-pin branch fault applied.
+    #[inline]
+    pub fn next_state(&self, ff: usize) -> WideWord<1> {
+        let d = self.topo.dff_d()[ff] as usize;
+        self.inj.force_ff(ff, self.vals[d])
+    }
+}

@@ -8,6 +8,9 @@
 //!   central object (scan operations are just vectors with `scan_sel = 1`);
 //! * [`eval_comb`] / [`SeqGoodSim`] — combinational and sequential
 //!   good-circuit simulation;
+//! * [`FrameSim`] — one time frame for 64 machines per sweep of the
+//!   compiled op stream, with a stuck-at fault in chosen lanes: the
+//!   implication engine of test generation;
 //! * [`LockstepSim`] — [`LANES`] independent good-circuit trajectories per
 //!   word, the engine under cross-variant equivalence checking;
 //! * [`SeqFaultSim`] — incremental sequential **parallel-fault** simulation
@@ -51,6 +54,7 @@ mod engine;
 pub mod fail_inject;
 mod fault_sim;
 mod flat;
+mod frame;
 mod good;
 mod lockstep;
 mod logic;
@@ -65,6 +69,7 @@ pub use engine::{fault_dropping, set_fault_dropping, set_sim_threads, sim_thread
 pub use fault_sim::{
     single_fault_detects, DetectionReport, FaultOrder, SeqFaultSim, SingleFaultSim,
 };
+pub use frame::FrameSim;
 pub use good::{eval_comb, eval_comb_with, next_state, SeqGoodSim};
 pub use lockstep::LockstepSim;
 pub use logic::Logic;

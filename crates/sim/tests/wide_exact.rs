@@ -11,10 +11,18 @@
 //! Agreement covers detection verdicts, first-detection times, the
 //! fault-free machine state, and the per-fault faulty machine states that
 //! carry across incremental extensions.
+//!
+//! The single-frame evaluator `FrameSim`, which runs the same compiled op
+//! stream over 64 lanes, is checked lane by lane against the scalar
+//! `eval_comb` / `eval_comb_with` / `next_state` reference.
 
-use limscan_fault::{FaultId, FaultList};
-use limscan_netlist::benchmarks;
-use limscan_sim::{set_sim_threads, Logic, SeqFaultSim, TestSequence, TrialCheckpoints, LANES};
+use limscan_fault::{FaultId, FaultList, FaultSite};
+use limscan_netlist::{benchmarks, Circuit, Driver, GateKind};
+use limscan_scan::ScanCircuit;
+use limscan_sim::{
+    eval_comb, eval_comb_with, next_state, set_sim_threads, FrameSim, Logic, SeqFaultSim,
+    TestSequence, TrialCheckpoints, WideWord, LANES,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -181,4 +189,183 @@ fn batch_boundary_past_wide_word() {
     let faults = FaultList::from_faults(all.as_slice().iter().copied().cycle().take(LANES + 1));
     assert_eq!(faults.len(), LANES + 1);
     cross_check("s526/LANES+1", &faults, 257, 32);
+}
+
+/// Random 0/1/X value.
+fn random_logic(rng: &mut StdRng) -> Logic {
+    match rng.gen_range(0..3) {
+        0 => Logic::Zero,
+        1 => Logic::One,
+        _ => Logic::X,
+    }
+}
+
+/// One frame for a (good, faulty) lane pair: shared inputs, and present
+/// states that differ in at least one flip-flop.
+struct PairFrame {
+    inputs: Vec<Logic>,
+    good_state: Vec<Logic>,
+    bad_state: Vec<Logic>,
+    /// `eval_comb` over the good sources.
+    good: Vec<Logic>,
+}
+
+impl PairFrame {
+    fn random(c: &Circuit, rng: &mut StdRng) -> Self {
+        let inputs: Vec<Logic> = (0..c.inputs().len()).map(|_| random_logic(rng)).collect();
+        let good_state: Vec<Logic> = (0..c.dffs().len()).map(|_| random_logic(rng)).collect();
+        let mut bad_state = good_state.clone();
+        while !bad_state.is_empty() && bad_state == good_state {
+            for b in &mut bad_state {
+                if rng.gen_bool(0.3) {
+                    *b = random_logic(rng);
+                }
+            }
+        }
+        let mut good = vec![Logic::X; c.net_count()];
+        load_sources(c, &mut good, &inputs, &good_state);
+        eval_comb(c, &mut good);
+        PairFrame {
+            inputs,
+            good_state,
+            bad_state,
+            good,
+        }
+    }
+}
+
+fn load_sources(c: &Circuit, vals: &mut [Logic], inputs: &[Logic], state: &[Logic]) {
+    for (&pi, &v) in c.inputs().iter().zip(inputs) {
+        vals[pi.index()] = v;
+    }
+    for (&q, &v) in c.dffs().iter().zip(state) {
+        vals[q.index()] = v;
+    }
+}
+
+/// Fault kinds the frame must get right, counted over a run.
+#[derive(Default)]
+struct Covered {
+    input_stems: usize,
+    ff_stems: usize,
+    mux_branches: usize,
+    dpin_branches: usize,
+}
+
+/// Injects every fault of `faults` into the odd lanes of a frame and
+/// checks pairs `0..frames.len()` against the scalar reference: the even
+/// lane against `eval_comb` on the good sources, the odd lane against
+/// `eval_comb_with` on the faulty ones, on every net and next-state bit.
+fn check_frame(
+    name: &str,
+    c: &Circuit,
+    faults: &FaultList,
+    frames: &[PairFrame],
+    cov: &mut Covered,
+) {
+    const ODD: u64 = 0xAAAA_AAAA_AAAA_AAAA;
+    let mut frame = FrameSim::new(c);
+    let mut bad = vec![Logic::X; c.net_count()];
+    for (_, fault) in faults.iter() {
+        match fault.site {
+            FaultSite::Stem(n) => match c.net(n).driver() {
+                Driver::Input => cov.input_stems += 1,
+                Driver::Dff { .. } => cov.ff_stems += 1,
+                Driver::Gate { .. } => {}
+            },
+            FaultSite::Branch(pin) => match c.net(pin.net).driver() {
+                Driver::Dff { .. } => cov.dpin_branches += 1,
+                Driver::Gate {
+                    kind: GateKind::Mux,
+                    ..
+                } => cov.mux_branches += 1,
+                _ => {}
+            },
+        }
+        frame.inject(Some(fault), ODD);
+        let pair_word = |k: usize, g: Logic, b: Logic| {
+            let mut w = WideWord::<1>::ALL_X;
+            w.set_lane(2 * k, g);
+            w.set_lane(2 * k + 1, b);
+            w
+        };
+        for pos in 0..c.inputs().len() {
+            let mut w = WideWord::<1>::ALL_X;
+            for (k, f) in frames.iter().enumerate() {
+                w.v0[0] |= pair_word(k, f.inputs[pos], f.inputs[pos]).v0[0];
+                w.v1[0] |= pair_word(k, f.inputs[pos], f.inputs[pos]).v1[0];
+            }
+            frame.set_input(pos, w);
+        }
+        for ff in 0..c.dffs().len() {
+            let mut w = WideWord::<1>::ALL_X;
+            for (k, f) in frames.iter().enumerate() {
+                let p = pair_word(k, f.good_state[ff], f.bad_state[ff]);
+                w.v0[0] |= p.v0[0];
+                w.v1[0] |= p.v1[0];
+            }
+            frame.set_state(ff, w);
+        }
+        frame.eval();
+        for (k, f) in frames.iter().enumerate() {
+            bad.fill(Logic::X);
+            load_sources(c, &mut bad, &f.inputs, &f.bad_state);
+            eval_comb_with(c, &mut bad, Some(fault));
+            let what = || format!("{name}: {} pair {k}", fault.display_name(c));
+            for (i, w) in frame.nets().iter().enumerate() {
+                assert_eq!(w.lane(2 * k), f.good[i], "{}: good net {i}", what());
+                assert_eq!(w.lane(2 * k + 1), bad[i], "{}: faulty net {i}", what());
+            }
+            let good_next = next_state(c, &f.good, None);
+            let bad_next = next_state(c, &bad, Some(fault));
+            for ff in 0..c.dffs().len() {
+                let w = frame.next_state(ff);
+                assert_eq!(w.lane(2 * k), good_next[ff], "{}: good ff {ff}", what());
+                assert_eq!(
+                    w.lane(2 * k + 1),
+                    bad_next[ff],
+                    "{}: faulty ff {ff}",
+                    what()
+                );
+            }
+        }
+    }
+}
+
+/// `FrameSim` agrees with the scalar reference for every fault of the
+/// full universe (stems on every net, branches on every gate and
+/// flip-flop pin) on every embedded benchmark, bare and scan-inserted.
+/// The two largest circuits run on sampled fault lists to keep the scalar
+/// reference affordable in a debug build (the full lists take about a
+/// minute each there).
+#[test]
+fn frame_sim_matches_scalar_reference() {
+    let mut cov = Covered::default();
+    for (i, &name) in ["s27"]
+        .iter()
+        .chain(benchmarks::iscas89_suite())
+        .chain(benchmarks::itc99_suite())
+        .enumerate()
+    {
+        let bare = benchmarks::load(name).expect("known benchmark");
+        let scan = ScanCircuit::insert(&bare);
+        for (variant, c) in [("bare", &bare), ("scan", scan.circuit())] {
+            let mut rng = StdRng::seed_from_u64(0xF4A3E + i as u64);
+            let frames: Vec<PairFrame> = (0..2).map(|_| PairFrame::random(c, &mut rng)).collect();
+            let faults = FaultList::full(c);
+            let faults = match name {
+                "s5378" => faults.sample(2000),
+                "s35932" => faults.sample(300),
+                _ => faults,
+            };
+            check_frame(&format!("{name}/{variant}"), c, &faults, &frames, &mut cov);
+        }
+    }
+    assert!(cov.input_stems > 0, "no primary-input stem faults checked");
+    assert!(cov.ff_stems > 0, "no flip-flop output stem faults checked");
+    assert!(cov.mux_branches > 0, "no mux pin branch faults checked");
+    assert!(
+        cov.dpin_branches > 0,
+        "no flip-flop D-pin branch faults checked"
+    );
 }
