@@ -1,24 +1,33 @@
-//! Generator fingerprints: the tests that PODEM and the two generators
-//! built on it produce, pinned bit for bit.
+//! Generator and flow fingerprints: the tests that PODEM and the two
+//! generators built on it produce, and every record field of the two
+//! end-to-end flows, pinned bit for bit.
 //!
-//! Each case hashes the generated artefact's text form with FNV-1a
+//! Each case hashes the artefact's text form with FNV-1a
 //! (`limscan_harness::fnv64`). A change in what PODEM decides, which
 //! candidate vector the generator picks or how X values are filled shows
 //! in the generated tests, so a speedup of the search machinery must leave
-//! every value here untouched.
+//! every value here untouched. The flow cases hash every field of
+//! [`GenerationFlow`] and [`TranslationFlow`] that the table harness, the
+//! experiment rows and the flow benchmark read, so a refactor of the flow
+//! drivers must leave them untouched too.
 //!
-//! The s820 and s1488 cases are `#[ignore]`: they are the slow ones in a
-//! debug build. Run them with
+//! The s820 and s1488 cases and the benchmark-workload flow cases are
+//! `#[ignore]`: they are the slow ones in a debug build. Run them with
 //! `cargo test --release --test atpg_fingerprint -- --include-ignored`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use limscan::atpg::first_approach::{self, CombAtpgConfig};
+use limscan::atpg::genetic::GeneticConfig;
 use limscan::atpg::{podem, Observation, PodemOptions, Scoap};
 use limscan::harness::fnv64;
+use limscan::netlist::bench_format;
 use limscan::sim::Logic;
-use limscan::{benchmarks, AtpgConfig, FaultList, ScanCircuit, SequentialAtpg};
+use limscan::{
+    benchmarks, AnalysisOptions, AtpgConfig, Compacted, Engine, FaultList, FlowAnalysis,
+    FlowConfig, GenerationFlow, ScanCircuit, SequentialAtpg, TranslationFlow,
+};
 
 /// `SequentialAtpg::run()` over the scan variant of `name` with the
 /// default configuration: the sequence fingerprint and
@@ -183,4 +192,210 @@ fn sequential_s820() {
 #[ignore = "slow in a debug build; run with --release --include-ignored"]
 fn sequential_s1488() {
     check_sequential("s1488", 0x0c4c_d111_c104_1c53, [1265, 23, 1, 1263]);
+}
+
+/// A [`Compacted`] record as text: sequence and bookkeeping.
+fn compacted_text(c: &Compacted) -> String {
+    format!(
+        "{}original {} targets {} extra {}\n",
+        c.sequence, c.original_len, c.target_count, c.extra_detected
+    )
+}
+
+/// The analysis record's counts as text.
+fn analysis_text(analysis: Option<&FlowAnalysis>) -> String {
+    analysis.map_or_else(
+        || "analysis off\n".to_owned(),
+        |a| {
+            format!(
+                "{:?} untestable {} deferred {}\n",
+                a.summary,
+                a.untestable.len(),
+                a.deferred
+            )
+        },
+    )
+}
+
+/// The generation flow on `name`: the fingerprint of every record field
+/// plus `(faults, generated, restored, omitted)` lengths.
+fn generation_flow(name: &str, config: &FlowConfig) -> (u64, [usize; 4]) {
+    let circuit = benchmarks::load(name).expect("embedded benchmark");
+    let flow = GenerationFlow::run_source(name, &bench_format::write(&circuit), config)
+        .expect("flow runs on a lint-clean circuit");
+    let g = &flow.generated;
+    let text = format!(
+        "{}aborted {} loads {} funct {} detected {}\n{}{}faults {}\n{}",
+        g.sequence,
+        g.aborted,
+        g.scan_loads,
+        g.funct_detected,
+        g.report.detected_count(),
+        compacted_text(&flow.restored),
+        compacted_text(&flow.omitted),
+        flow.faults.len(),
+        analysis_text(flow.analysis.as_ref()),
+    );
+    let lens = [
+        flow.faults.len(),
+        g.sequence.len(),
+        flow.restored.sequence.len(),
+        flow.omitted.sequence.len(),
+    ];
+    (fnv64(text.as_bytes()), lens)
+}
+
+/// The translation flow on `name`: the fingerprint of every record field
+/// plus `(faults, translated, restored, omitted)` lengths.
+fn translation_flow(name: &str, config: &FlowConfig) -> (u64, [usize; 4]) {
+    let circuit = benchmarks::load(name).expect("embedded benchmark");
+    let flow = TranslationFlow::run_source(name, &bench_format::write(&circuit), config)
+        .expect("flow runs on a lint-clean circuit");
+    let flags: String = flow
+        .baseline
+        .detected
+        .iter()
+        .map(|&d| if d { '1' } else { '0' })
+        .collect();
+    let text = format!(
+        "{}{flags}\n{}cycles {}\n{}{}{}faults {}\n{}",
+        flow.baseline.set,
+        flow.baseline_compacted.set,
+        flow.baseline_compacted.set.application_cycles(),
+        flow.translated,
+        compacted_text(&flow.restored),
+        compacted_text(&flow.omitted),
+        flow.faults.len(),
+        analysis_text(flow.analysis.as_ref()),
+    );
+    let lens = [
+        flow.faults.len(),
+        flow.translated.len(),
+        flow.restored.sequence.len(),
+        flow.omitted.sequence.len(),
+    ];
+    (fnv64(text.as_bytes()), lens)
+}
+
+fn check_flow(label: &str, got: (u64, [usize; 4]), expected: (u64, [usize; 4])) {
+    assert_eq!(
+        got, expected,
+        "{label}: flow record moved (got {:#018x}, {:?})",
+        got.0, got.1
+    );
+}
+
+#[test]
+fn generation_flow_defaults() {
+    let config = FlowConfig::default();
+    for (name, expected) in [
+        ("s27", (0x5ef9_974d_4872_648e, [52, 64, 16, 10])),
+        ("s298", (0x2d22_442e_fa9e_a1b9, [554, 252, 144, 96])),
+        ("b06", (0xf20f_8d78_09b7_f495, [275, 195, 141, 71])),
+    ] {
+        check_flow(name, generation_flow(name, &config), expected);
+    }
+}
+
+#[test]
+fn translation_flow_defaults() {
+    let config = FlowConfig::default();
+    for (name, expected) in [
+        ("s27", (0x9d5d_a16a_0b6d_4037, [52, 25, 17, 13])),
+        ("s298", (0x2160_ccfd_e91a_603a, [554, 314, 140, 86])),
+        ("b06", (0x3fda_f3e5_96a4_2b95, [275, 200, 104, 65])),
+    ] {
+        check_flow(name, translation_flow(name, &config), expected);
+    }
+}
+
+#[test]
+fn flows_with_static_analysis() {
+    let config = FlowConfig {
+        analysis: AnalysisOptions::all(),
+        ..FlowConfig::default()
+    };
+    check_flow(
+        "generation s298",
+        generation_flow("s298", &config),
+        (0x2ba2_5fd1_4d34_2638, [409, 238, 124, 83]),
+    );
+    check_flow(
+        "translation s298",
+        translation_flow("s298", &config),
+        (0xbe57_67d5_8304_90a1, [409, 314, 140, 86]),
+    );
+}
+
+#[test]
+fn generation_flow_genetic_engine() {
+    let config = FlowConfig {
+        engine: Engine::Genetic(GeneticConfig::default()),
+        ..FlowConfig::default()
+    };
+    check_flow(
+        "s27",
+        generation_flow("s27", &config),
+        (0xf980_1526_738e_a35c, [52, 16, 13, 10]),
+    );
+}
+
+#[test]
+fn flows_with_a_fault_cap() {
+    let config = FlowConfig {
+        max_faults: 40,
+        ..FlowConfig::default()
+    };
+    check_flow(
+        "generation s298",
+        generation_flow("s298", &config),
+        (0x6ef3_bded_4f10_e0ff, [40, 108, 56, 35]),
+    );
+    check_flow(
+        "translation s298",
+        translation_flow("s298", &config),
+        (0x6324_7cf7_d056_ca77, [40, 104, 45, 31]),
+    );
+}
+
+#[test]
+fn generation_flow_two_chains() {
+    let config = FlowConfig {
+        scan_chains: 2,
+        ..FlowConfig::default()
+    };
+    check_flow(
+        "s298",
+        generation_flow("s298", &config),
+        (0xf31e_1fa9_2837_591d, [554, 183, 91, 61]),
+    );
+}
+
+/// The `gen-atpg` benchmark workload's circuits.
+#[test]
+#[ignore = "slow in a debug build; run with --release --include-ignored"]
+fn generation_flow_benchmark_workload() {
+    let config = FlowConfig::default();
+    for (name, expected) in [
+        ("s820", (0xbf93_d378_52c5_3b11, [1172, 176, 105, 77])),
+        ("s1488", (0x5b8d_06b5_93c4_edee, [2528, 235, 123, 92])),
+    ] {
+        check_flow(name, generation_flow(name, &config), expected);
+    }
+}
+
+/// The `trans-compact` benchmark workload's circuits.
+#[test]
+#[ignore = "slow in a debug build; run with --release --include-ignored"]
+fn translation_flow_benchmark_workload() {
+    let config = FlowConfig::default();
+    for (name, expected) in [
+        ("s382", (0x6828_2f4c_5a00_c7d4, [806, 794, 442, 327])),
+        ("s526", (0xdb1d_0eb0_fe51_129e, [950, 1055, 604, 390])),
+        ("b03", (0xef6b_0544_c309_ae5c, [831, 1148, 674, 496])),
+        ("b09", (0xc266_8f02_05ed_dd68, [867, 1103, 739, 617])),
+        ("b10", (0x4b7b_bcc6_3041_063b, [840, 848, 489, 355])),
+    ] {
+        check_flow(name, translation_flow(name, &config), expected);
+    }
 }
