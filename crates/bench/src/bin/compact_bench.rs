@@ -24,13 +24,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use limscan::compact::{
-    omission, omission_observed, omission_reference, restoration, restoration_observed,
-    restoration_reference, Compacted,
+    omission, omission_pass_resumable, omission_reference, restoration, restoration_reference,
+    restoration_resumable, Compacted,
 };
 use limscan::obs::Metric;
 use limscan::sim::sim_threads;
 use limscan::{
-    benchmarks, FaultList, Logic, MetricsCollector, ObsHandle, ScanCircuit, TestSequence,
+    benchmarks, CancelToken, FaultList, Logic, MetricsCollector, ObsHandle, ScanCircuit,
+    SeqFaultSim, TestSequence,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -107,14 +108,23 @@ fn main() {
         );
         assert_eq!(r_ref.extra_detected, r_inc.extra_detected);
 
-        // One extra observed run of each incremental engine feeds the
+        // One extra observed run of each incremental engine (the single
+        // omission pass and the restoration the flow driver runs) feeds the
         // `metrics` block. Untimed, and inert when `trace` is compiled out
         // (every counter reads back 0).
         let collector = {
             let collector = MetricsCollector::default();
             let obs = ObsHandle::from_sink(Arc::new(collector.clone()));
-            omission_observed(c, &faults, &seq, OMISSION_PASSES, &obs);
-            restoration_observed(c, &faults, &seq, &obs);
+            let ctl = CancelToken::unlimited();
+            let targets: Vec<usize> = SeqFaultSim::run(c, &faults, &seq)
+                .detected()
+                .iter()
+                .map(|id| id.index())
+                .collect();
+            omission_pass_resumable(c, &faults, &seq, &targets, 0, &obs, &ctl)
+                .expect("an unlimited omission pass cannot stop early");
+            restoration_resumable(c, &faults, &seq, &obs, &ctl)
+                .expect("an unlimited restoration cannot stop early");
             collector
         };
 

@@ -23,9 +23,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use limscan::{
-    benchmarks, restore_then_omit, CircuitExperiment, FaultList, ScanCircuit, TestSequence,
-};
+use limscan::{benchmarks, CircuitExperiment, FaultList, ScanCircuit, TestSequence};
 use limscan_bench::{config_for, render_table, Effort};
 
 /// Circuits too large for the default effort level (run with `--full`).
@@ -160,7 +158,6 @@ fn table4() {
         flow.restored_scan_vectors(),
         flow.omitted_scan_vectors(),
     );
-    let _ = restore_then_omit; // part of the public API exercised elsewhere
 }
 
 /// Extension experiment (not a paper table): the generation flow under 1,

@@ -14,11 +14,18 @@
 //!   \[22\]: repeatedly drop single vectors whenever doing so loses no
 //!   detection (omission can also *gain* detections — reported as the
 //!   paper's `ext det` column);
-//! * [`restore_then_omit`] — the exact pipeline the paper applies
-//!   (restoration first, omission second);
 //! * [`scan_test_set`] — reverse/forward-order pruning of conventional
 //!   `(SI, T)` test sets with complete scan operations, standing in for
 //!   the \[26\] comparison point.
+//!
+//! The paper applies restoration first and omission second; the flows of
+//! the `limscan` crate run that pipeline pass by pass, with a checkpoint
+//! between passes.
+//!
+//! Each procedure has three entry points: the plain form ([`omission`],
+//! [`restoration`]); the budgeted, observed form the flow driver calls
+//! ([`omission_pass_resumable`], one pass at a time, and
+//! [`restoration_resumable`]); and the `_reference` oracle.
 //!
 //! Both procedures run on an **incremental trial engine**: omission
 //! answers each candidate from per-vector checkpoints recorded once per
@@ -27,8 +34,7 @@
 //! original full-re-simulation implementations are retained as
 //! [`omission_reference`] / [`restoration_reference`]: bit-exact oracles
 //! whose kept-vector sets the incremental engines must reproduce (see
-//! `tests/compaction_differential.rs`), selectable at the flow level via
-//! [`CompactionEngine`].
+//! `tests/compaction_differential.rs` and the `compact_bench` binary).
 //!
 //! # Example
 //!
@@ -37,13 +43,14 @@
 //! use limscan_fault::FaultList;
 //! use limscan_scan::ScanCircuit;
 //! use limscan_atpg::{AtpgConfig, SequentialAtpg};
-//! use limscan_compact::restore_then_omit;
+//! use limscan_compact::{omission, restoration};
 //!
 //! let sc = ScanCircuit::insert(&benchmarks::s27());
 //! let faults = FaultList::collapsed(sc.circuit());
 //! let outcome = SequentialAtpg::new(&sc, &faults, AtpgConfig::default()).run();
-//! let compacted = restore_then_omit(sc.circuit(), &faults, &outcome.sequence, 4);
-//! assert!(compacted.sequence.len() <= outcome.sequence.len());
+//! let restored = restoration(sc.circuit(), &faults, &outcome.sequence);
+//! let omitted = omission(sc.circuit(), &faults, &restored.sequence, 4);
+//! assert!(omitted.sequence.len() <= outcome.sequence.len());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -54,31 +61,12 @@ mod restoration;
 mod scan_compact;
 mod segments;
 
-pub use omission::{omission, omission_observed, omission_pass_resumable, omission_reference};
-pub use restoration::{
-    restoration, restoration_observed, restoration_reference, restoration_resumable,
-};
+pub use omission::{omission, omission_pass_resumable, omission_reference};
+pub use restoration::{restoration, restoration_reference, restoration_resumable};
 pub use scan_compact::{scan_test_set, CompactedSet};
 pub use segments::segment_prune;
 
-use limscan_fault::FaultList;
-use limscan_netlist::Circuit;
-use limscan_obs::{ObsHandle, SpanKind};
 use limscan_sim::TestSequence;
-
-/// Selects the trial engine behind [`restore_then_omit_with`].
-///
-/// Both engines produce identical kept-vector sets; `Reference` exists for
-/// differential testing and for benchmarking the incremental engine's
-/// speedup (`compact_bench`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CompactionEngine {
-    /// Checkpointed suffix re-simulation with early exits (the default).
-    #[default]
-    Incremental,
-    /// Full re-simulation per trial — the bit-exact oracle.
-    Reference,
-}
 
 /// A compacted sequence plus bookkeeping about the compaction run.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -104,94 +92,10 @@ impl Compacted {
     }
 }
 
-/// The paper's compaction pipeline: restoration (from \[23\]) followed by
-/// omission (from \[22\]).
-///
-/// Never loses a detection: every fault the input sequence detects is
-/// detected by the result, and `extra_detected` may be positive.
-pub fn restore_then_omit(
-    circuit: &Circuit,
-    faults: &FaultList,
-    sequence: &TestSequence,
-    omission_passes: usize,
-) -> Compacted {
-    restore_then_omit_with(
-        circuit,
-        faults,
-        sequence,
-        omission_passes,
-        CompactionEngine::Incremental,
-    )
-}
-
-/// [`restore_then_omit`] with an explicit [`CompactionEngine`] choice.
-pub fn restore_then_omit_with(
-    circuit: &Circuit,
-    faults: &FaultList,
-    sequence: &TestSequence,
-    omission_passes: usize,
-    engine: CompactionEngine,
-) -> Compacted {
-    restore_then_omit_observed(
-        circuit,
-        faults,
-        sequence,
-        omission_passes,
-        engine,
-        &ObsHandle::noop(),
-    )
-}
-
-/// [`restore_then_omit_with`] under an observability scope.
-///
-/// The restoration and omission phases each run inside their own
-/// `Pass`-kind span. The `Reference` engine stays unobserved internally
-/// (it is the bit-exact oracle and must not depend on instrumentation),
-/// but its phases are still bracketed by spans so flow traces keep their
-/// shape regardless of engine choice.
-pub fn restore_then_omit_observed(
-    circuit: &Circuit,
-    faults: &FaultList,
-    sequence: &TestSequence,
-    omission_passes: usize,
-    engine: CompactionEngine,
-    obs: &ObsHandle,
-) -> Compacted {
-    let (restored, omitted) = match engine {
-        CompactionEngine::Incremental => {
-            let r = {
-                let span = obs.span(SpanKind::Pass, "restore");
-                restoration_observed(circuit, faults, sequence, span.handle())
-            };
-            let o = {
-                let span = obs.span(SpanKind::Pass, "omit");
-                omission_observed(circuit, faults, &r.sequence, omission_passes, span.handle())
-            };
-            (r, o)
-        }
-        CompactionEngine::Reference => {
-            let r = {
-                let _span = obs.span(SpanKind::Pass, "restore");
-                restoration_reference(circuit, faults, sequence)
-            };
-            let o = {
-                let _span = obs.span(SpanKind::Pass, "omit");
-                omission_reference(circuit, faults, &r.sequence, omission_passes)
-            };
-            (r, o)
-        }
-    };
-    Compacted {
-        sequence: omitted.sequence,
-        original_len: sequence.len(),
-        target_count: restored.target_count,
-        extra_detected: restored.extra_detected + omitted.extra_detected,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use limscan_fault::FaultList;
     use limscan_netlist::benchmarks;
     use limscan_scan::ScanCircuit;
     use limscan_sim::{Logic, SeqFaultSim};
@@ -215,7 +119,8 @@ mod tests {
         let seq = random_sequence(c.inputs().len(), 120, 5);
         let before = SeqFaultSim::run(c, &faults, &seq);
 
-        let out = restore_then_omit(c, &faults, &seq, 4);
+        let restored = restoration(c, &faults, &seq);
+        let out = omission(c, &faults, &restored.sequence, 4);
         let after = SeqFaultSim::run(c, &faults, &out.sequence);
 
         assert!(
@@ -227,7 +132,8 @@ mod tests {
                 assert!(after.is_detected(id), "{id} lost by compaction");
             }
         }
-        assert_eq!(out.original_len, 120);
-        assert!(out.reduction() > 0.0);
+        assert_eq!(restored.original_len, 120);
+        assert_eq!(out.original_len, restored.sequence.len());
+        assert!(restored.reduction() > 0.0);
     }
 }

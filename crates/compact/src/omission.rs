@@ -14,14 +14,14 @@
 //!
 //! Two implementations share this module:
 //!
-//! * [`omission`] — the production engine. Each pass records one set of
-//!   [`TrialCheckpoints`] (fault-free trace, per-batch divergence
-//!   snapshots, detection frontier) and answers every candidate trial
-//!   from the checkpoint at its time unit, simulating forward only until
-//!   every remaining target is re-detected or provably lost (see
-//!   `limscan_sim::checkpoint`). Independent candidates fan out across
-//!   threads (`set_sim_threads`), committed in order so results are
-//!   bit-identical for every thread count.
+//! * [`omission`] and [`omission_pass_resumable`] — the production
+//!   engine. Each pass records one set of [`TrialCheckpoints`] (fault-free
+//!   trace, per-batch divergence snapshots, detection frontier) and
+//!   answers every candidate trial from the checkpoint at its time unit,
+//!   simulating forward only until every remaining target is re-detected
+//!   or provably lost (see `limscan_sim::checkpoint`). Independent
+//!   candidates fan out across threads (`set_sim_threads`), committed in
+//!   order so results are bit-identical for every thread count.
 //! * [`omission_reference`] — the original implementation: a cloned
 //!   [`SeqFaultSim`] per trial, full suffix re-simulation. Kept as the
 //!   bit-exact oracle anchoring the differential test suite; production
@@ -35,7 +35,7 @@ use limscan_netlist::Circuit;
 use limscan_obs::{Metric, ObsHandle, SpanKind};
 use limscan_sim::{sim_threads, PrefixState, SeqFaultSim, TestSequence, TrialCheckpoints};
 
-use crate::{Compacted, CompactionEngine};
+use crate::Compacted;
 
 /// Compacts `sequence` by repeated vector omission with up to `max_passes`
 /// passes; the target faults are those the input sequence detects.
@@ -51,52 +51,46 @@ pub fn omission(
     sequence: &TestSequence,
     max_passes: usize,
 ) -> Compacted {
-    omission_observed(circuit, faults, sequence, max_passes, &ObsHandle::noop())
+    let ctl = CancelToken::unlimited();
+    compact_by_passes(
+        circuit,
+        faults,
+        sequence,
+        max_passes,
+        |targets, current, pass| {
+            omission_pass(circuit, targets, current, pass, &ObsHandle::noop(), &ctl)
+                .expect("an unlimited omission pass cannot stop early")
+        },
+    )
 }
 
-/// [`omission`] with an observability scope: emits one `omission-pass`
-/// span per pass, a `trial` span per candidate decision, and the
-/// trial/checkpoint counters. Trial spans run on the speculative-wave
-/// worker threads, so their order (and the attempted/early-exit counts)
-/// is only deterministic for a single-threaded run; committed omissions
-/// are counted on the coordinating thread and are deterministic for any
-/// thread count.
-pub fn omission_observed(
+/// The pass loop behind [`omission`] and [`omission_reference`]: the
+/// targets are the faults `sequence` detects, and passes repeat until one
+/// omits nothing, the sequence is empty, or `max_passes` ran.
+fn compact_by_passes(
     circuit: &Circuit,
     faults: &FaultList,
     sequence: &TestSequence,
     max_passes: usize,
-    obs: &ObsHandle,
+    mut run_pass: impl FnMut(&FaultList, &TestSequence, usize) -> (TestSequence, bool),
 ) -> Compacted {
-    let before = {
-        let mut sim = SeqFaultSim::new(circuit, faults);
-        sim.set_obs(obs);
-        sim.extend(sequence);
-        sim.report()
-    };
+    let before = SeqFaultSim::run(circuit, faults, sequence);
     let target_ids: Vec<FaultId> = before.detected();
     let targets = FaultList::from_faults(target_ids.iter().map(|&id| faults.fault(id)));
-    let target_count = targets.len();
 
     let mut current = sequence.clone();
     for pass in 0..max_passes {
         if current.is_empty() {
             break;
         }
-        let (next, changed) = omission_pass(circuit, &targets, &current, pass, obs, None)
-            .expect("an unbudgeted omission pass cannot stop early");
+        let (next, changed) = run_pass(&targets, &current, pass);
         current = next;
         if !changed {
             break;
         }
     }
 
-    let after = {
-        let mut sim = SeqFaultSim::new(circuit, faults);
-        sim.set_obs(obs);
-        sim.extend(&current);
-        sim.report()
-    };
+    let after = SeqFaultSim::run(circuit, faults, &current);
     let extra_detected = faults
         .ids()
         .filter(|&id| after.is_detected(id) && !before.is_detected(id))
@@ -104,18 +98,18 @@ pub fn omission_observed(
     Compacted {
         sequence: current,
         original_len: sequence.len(),
-        target_count,
+        target_count: targets.len(),
         extra_detected,
     }
 }
 
-/// One omission pass over `current` with optional budget enforcement.
+/// One omission pass over `current` under a budget.
 ///
-/// Returns the shortened sequence and whether anything was omitted. With a
-/// [`CancelToken`], the pass charges `current.len()` vectors up front and
-/// consults the token at every speculative-wave boundary; a tripped budget
-/// returns the [`StopReason`] and discards the partial pass (the caller
-/// resumes from the sequence it passed in — a pass boundary).
+/// Returns the shortened sequence and whether anything was omitted. The
+/// pass charges `current.len()` vectors up front and consults the token at
+/// every speculative-wave boundary; a tripped budget returns the
+/// [`StopReason`] and discards the partial pass (the caller resumes from
+/// the sequence it passed in — a pass boundary).
 ///
 /// Worker panics (including injected ones) are confined to the trial they
 /// occurred in: the lost verdict is recomputed on the coordinating thread
@@ -128,16 +122,14 @@ fn omission_pass(
     current: &TestSequence,
     pass: usize,
     obs: &ObsHandle,
-    ctl: Option<&CancelToken>,
+    ctl: &CancelToken,
 ) -> Result<(TestSequence, bool), StopReason> {
     let pass_span = obs.span_indexed(SpanKind::Pass, "omission-pass", pass as u64 + 1);
     let pass_obs = pass_span.handle();
-    if let Some(ctl) = ctl {
-        // A pass re-simulates the whole sequence at least once (recording)
-        // plus suffixes per trial; charge its length as the vector cost.
-        ctl.charge_vectors(current.len() as u64);
-        ctl.check()?;
-    }
+    // A pass re-simulates the whole sequence at least once (recording)
+    // plus suffixes per trial; charge its length as the vector cost.
+    ctl.charge_vectors(current.len() as u64);
+    ctl.check()?;
     // One recorded pass per omission pass: every trial below restarts
     // from its candidate's checkpoint instead of simulating from 0.
     let ck = TrialCheckpoints::record_observed(circuit, targets, current, pass_obs);
@@ -154,9 +146,7 @@ fn omission_pass(
 
     let mut o = 0usize;
     while o < len {
-        if let Some(ctl) = ctl {
-            ctl.check()?;
-        }
+        ctl.check()?;
         if prefix.all_detected() {
             // The kept prefix alone covers every target: every
             // remaining candidate trivially succeeds.
@@ -284,28 +274,31 @@ fn reference_trial(
     SeqFaultSim::run(circuit, targets, &trial_seq).detected_count() == targets.len()
 }
 
-/// One budget-aware omission pass for the resilient flow driver.
+/// One budget-aware, observed omission pass: the form the flow driver
+/// calls, which owns the pass loop so it can checkpoint between passes.
 ///
 /// `target_indices` are indices into `faults` naming the omission targets
-/// (the faults the *original* sequence detected) — stored in the flow
-/// snapshot so a resumed run compacts toward the same set. Returns the
-/// shortened sequence and whether the pass changed anything; the driver
-/// owns the pass loop so it can checkpoint between passes.
+/// (the faults the sequence detected before omission began) — stored in
+/// the flow snapshot so a resumed run compacts toward the same set.
+/// Returns the shortened sequence and whether the pass changed anything.
+/// The pass emits one `omission-pass` span, a `trial` span per candidate
+/// decision, and the trial/checkpoint counters. Trial spans run on the
+/// speculative-wave worker threads, so their order (and the
+/// attempted/early-exit counts) is only deterministic for a
+/// single-threaded run; committed omissions are counted on the
+/// coordinating thread and are deterministic for any thread count. Worker
+/// panics are confined to their trial and recomputed on the oracle path.
 ///
 /// # Errors
 ///
 /// The latched [`StopReason`] when the token trips; the pass's partial
 /// work is discarded (the input sequence remains the resume point).
-// One argument over the limit, but every one is load-bearing flow state;
-// bundling them into a context struct would only rename the problem.
-#[allow(clippy::too_many_arguments)]
 pub fn omission_pass_resumable(
     circuit: &Circuit,
     faults: &FaultList,
     sequence: &TestSequence,
     target_indices: &[usize],
     pass: usize,
-    engine: CompactionEngine,
     obs: &ObsHandle,
     ctl: &CancelToken,
 ) -> Result<(TestSequence, bool), StopReason> {
@@ -317,17 +310,7 @@ pub fn omission_pass_resumable(
             .iter()
             .map(|&i| faults.fault(FaultId::from_index(i))),
     );
-    match engine {
-        CompactionEngine::Incremental => {
-            omission_pass(circuit, &targets, sequence, pass, obs, Some(ctl))
-        }
-        CompactionEngine::Reference => {
-            ctl.charge_vectors(sequence.len() as u64);
-            ctl.check()?;
-            let _span = obs.span_indexed(SpanKind::Pass, "omission-pass", pass as u64 + 1);
-            Ok(omission_reference_pass(circuit, &targets, sequence))
-        }
-    }
+    omission_pass(circuit, &targets, sequence, pass, obs, ctl)
 }
 
 /// The pre-checkpoint omission engine: one cloned [`SeqFaultSim`] and a
@@ -342,31 +325,13 @@ pub fn omission_reference(
     sequence: &TestSequence,
     max_passes: usize,
 ) -> Compacted {
-    let before = SeqFaultSim::run(circuit, faults, sequence);
-    let target_ids: Vec<FaultId> = before.detected();
-    let targets = FaultList::from_faults(target_ids.iter().map(|&id| faults.fault(id)));
-    let target_count = targets.len();
-
-    let mut current = sequence.clone();
-    for _ in 0..max_passes {
-        let (next, changed) = omission_reference_pass(circuit, &targets, &current);
-        current = next;
-        if !changed {
-            break;
-        }
-    }
-
-    let after = SeqFaultSim::run(circuit, faults, &current);
-    let extra_detected = faults
-        .ids()
-        .filter(|&id| after.is_detected(id) && !before.is_detected(id))
-        .count();
-    Compacted {
-        sequence: current,
-        original_len: sequence.len(),
-        target_count,
-        extra_detected,
-    }
+    compact_by_passes(
+        circuit,
+        faults,
+        sequence,
+        max_passes,
+        |targets, current, _| omission_reference_pass(circuit, targets, current),
+    )
 }
 
 /// One pass of the reference (full re-simulation) omission engine over

@@ -15,14 +15,15 @@
 //!
 //! Two implementations share this module:
 //!
-//! * [`restoration`] — the production engine. Each restoration episode
-//!   starts with one *recorded pass* of [`SingleFaultSim`] over the kept
-//!   subsequence, which doubles as the covered check and caches the
-//!   (good, faulty) flip-flop state pair at every kept position. A
-//!   doubling-chunk probe then resumes from the cached state just before
-//!   the restored window instead of re-simulating the shared prefix, and
-//!   fails early in the kept tail as soon as its state pair converges back
-//!   onto the recorded pass (whose remainder is known not to detect).
+//! * [`restoration`] and [`restoration_resumable`] — the production
+//!   engine. Each restoration episode starts with one *recorded pass* of
+//!   [`SingleFaultSim`] over the kept subsequence, which doubles as the
+//!   covered check and caches the (good, faulty) flip-flop state pair at
+//!   every kept position. A doubling-chunk probe then resumes from the
+//!   cached state just before the restored window instead of
+//!   re-simulating the shared prefix, and fails early in the kept tail as
+//!   soon as its state pair converges back onto the recorded pass (whose
+//!   remainder is known not to detect).
 //! * [`restoration_reference`] — the original implementation: one full
 //!   [`single_fault_detects`] scan per probe. Kept as the bit-exact oracle
 //!   for the differential test suite; production code should call
@@ -131,27 +132,25 @@ impl<'a> RecordedPass<'a> {
 /// recorded pass and the convergence exit change the cost of a probe, never
 /// its verdict.
 pub fn restoration(circuit: &Circuit, faults: &FaultList, sequence: &TestSequence) -> Compacted {
-    restoration_observed(circuit, faults, sequence, &ObsHandle::noop())
+    restoration_resumable(
+        circuit,
+        faults,
+        sequence,
+        &ObsHandle::noop(),
+        &CancelToken::unlimited(),
+    )
+    .expect("an unlimited restoration cannot stop early")
 }
 
-/// [`restoration`] with an observability scope: emits one
-/// `restore-episode` span per restoration episode, a `probe` span per
-/// doubling-chunk probe, and the episode/probe counters. Restoration is
-/// single-threaded, so all of its counters are deterministic.
-pub fn restoration_observed(
-    circuit: &Circuit,
-    faults: &FaultList,
-    sequence: &TestSequence,
-    obs: &ObsHandle,
-) -> Compacted {
-    restoration_impl(circuit, faults, sequence, obs, None)
-        .expect("unbudgeted restoration cannot stop early")
-}
-
-/// [`restoration_observed`] under a [`CancelToken`]: the token is
-/// consulted before every restoration episode (charging the kept-prefix
-/// length as the episode's re-simulation cost), so a tripped budget stops
-/// the compaction at an episode boundary.
+/// [`restoration`] under an observability scope and a [`CancelToken`]: the
+/// form the flow driver calls.
+///
+/// Emits one `restore-episode` span per restoration episode, a `probe`
+/// span per doubling-chunk probe, and the episode/probe counters.
+/// Restoration is single-threaded, so all of its counters are
+/// deterministic. The token is consulted before every restoration episode
+/// (charging the kept-prefix length as the episode's re-simulation cost),
+/// so a tripped budget stops the compaction at an episode boundary.
 ///
 /// Restoration has no mid-run cursor — its keep mask is only meaningful
 /// once every target is covered — so an early stop discards the partial
@@ -166,16 +165,6 @@ pub fn restoration_resumable(
     sequence: &TestSequence,
     obs: &ObsHandle,
     ctl: &CancelToken,
-) -> Result<Compacted, StopReason> {
-    restoration_impl(circuit, faults, sequence, obs, Some(ctl))
-}
-
-fn restoration_impl(
-    circuit: &Circuit,
-    faults: &FaultList,
-    sequence: &TestSequence,
-    obs: &ObsHandle,
-    ctl: Option<&CancelToken>,
 ) -> Result<Compacted, StopReason> {
     let report = {
         let mut sim = SeqFaultSim::new(circuit, faults);
@@ -201,11 +190,9 @@ fn restoration_impl(
         if covered[i] {
             continue;
         }
-        if let Some(ctl) = ctl {
-            // Each episode re-simulates (at least) the kept subsequence.
-            ctl.charge_vectors(keep.iter().filter(|k| **k).count() as u64);
-            ctl.check()?;
-        }
+        // Each episode re-simulates (at least) the kept subsequence.
+        ctl.charge_vectors(keep.iter().filter(|k| **k).count() as u64);
+        ctl.check()?;
         let fault = faults.fault(id);
         let episode = obs.span_indexed(SpanKind::Episode, "restore-episode", i as u64);
         episode.handle().counter(Metric::RestorationEpisodes, 1);

@@ -7,26 +7,27 @@
 //!   set with complete scan operations, compact it with the scan-specific
 //!   `[26]`-style pruning, translate it into a flat sequence (Section 3),
 //!   and compact that with the same restoration + omission pipeline.
+//!
+//! Both run on the pass-boundary driver in `resilient.rs`: a flow here is
+//! the driver's unlimited case, with no snapshot store, and its record is
+//! filled from what the driver produced.
 
 use std::fmt;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use limscan_analyze::{AnalysisSummary, StaticAnalysis, UntestableReason};
-use limscan_atpg::first_approach::{self, CombAtpgConfig, CombAtpgOutcome};
-use limscan_atpg::genetic::{GeneticAtpg, GeneticConfig};
-use limscan_atpg::{AtpgConfig, AtpgOutcome, SequentialAtpg};
-use limscan_compact::{
-    omission_observed, omission_reference, restoration_observed, restoration_reference,
-    scan_test_set, Compacted, CompactedSet, CompactionEngine,
-};
+use limscan_atpg::first_approach::{CombAtpgConfig, CombAtpgOutcome};
+use limscan_atpg::genetic::GeneticConfig;
+use limscan_atpg::{AtpgConfig, AtpgOutcome};
+use limscan_compact::{Compacted, CompactedSet};
 use limscan_fault::{Fault, FaultId, FaultList};
+use limscan_harness::FlowKind;
 use limscan_lint::{Diagnostic, LintConfig, Linter, Severity};
 use limscan_netlist::{bench_format, Circuit, NetlistError};
-use limscan_obs::{FlowReport, Metric, MetricsCollector, ObsHandle, SpanKind};
+use limscan_obs::{FlowReport, Metric, ObsHandle, SpanKind};
 use limscan_scan::ScanCircuit;
 use limscan_sim::{SeqFaultSim, TestSequence};
+
+use crate::resilient::{run_whole, Input, Produced};
 
 /// Why a flow refused to run.
 #[derive(Clone, Debug)]
@@ -219,7 +220,7 @@ impl FlowAnalysis {
 /// fault list, the two-tier episode order for the sequential generator, and
 /// the result record. Untestable faults are never part of a returned order
 /// — with pruning off they are simply targeted last.
-fn apply_analysis(
+pub(crate) fn apply_analysis(
     circuit: &Circuit,
     faults: FaultList,
     options: &AnalysisOptions,
@@ -292,10 +293,6 @@ pub struct FlowConfig {
     pub baseline: CombAtpgConfig,
     /// Omission pass budget.
     pub omission_passes: usize,
-    /// Trial engine behind the restoration + omission pipeline. Both
-    /// engines produce identical sequences; `Reference` is the slow oracle
-    /// kept for differential testing and benchmarking.
-    pub compaction: CompactionEngine,
     /// Static-analysis knobs (untestability pruning, two-tier dominance
     /// targeting). All off by default.
     pub analysis: AnalysisOptions,
@@ -330,59 +327,12 @@ impl Default for FlowConfig {
             atpg: AtpgConfig::default(),
             baseline: CombAtpgConfig::default(),
             omission_passes: 2,
-            compaction: CompactionEngine::default(),
             analysis: AnalysisOptions::default(),
             max_faults: 0,
             scan_chains: 1,
             seed: 0xda7e_2003,
             lint: true,
             obs: ObsHandle::noop(),
-        }
-    }
-}
-
-/// The restoration → omission pipeline behind both flows, dispatched on
-/// the configured [`CompactionEngine`]. Both engines produce identical
-/// sequences; `Reference` runs the retained full-re-simulation oracles
-/// (unobserved internally — the oracle must not depend on instrumentation
-/// — but still bracketed by the same phase spans so traces keep their
-/// shape).
-fn compact_pipeline(
-    circuit: &Circuit,
-    faults: &FaultList,
-    sequence: &TestSequence,
-    omission_passes: usize,
-    engine: CompactionEngine,
-    obs: &ObsHandle,
-) -> (Compacted, Compacted) {
-    match engine {
-        CompactionEngine::Incremental => {
-            let restored = {
-                let span = obs.span(SpanKind::Pass, "restore");
-                restoration_observed(circuit, faults, sequence, span.handle())
-            };
-            let omitted = {
-                let span = obs.span(SpanKind::Pass, "omit");
-                omission_observed(
-                    circuit,
-                    faults,
-                    &restored.sequence,
-                    omission_passes,
-                    span.handle(),
-                )
-            };
-            (restored, omitted)
-        }
-        CompactionEngine::Reference => {
-            let restored = {
-                let _span = obs.span(SpanKind::Pass, "restore");
-                restoration_reference(circuit, faults, sequence)
-            };
-            let omitted = {
-                let _span = obs.span(SpanKind::Pass, "omit");
-                omission_reference(circuit, faults, &restored.sequence, omission_passes)
-            };
-            (restored, omitted)
         }
     }
 }
@@ -419,19 +369,11 @@ impl GenerationFlow {
     /// [`FlowError::NoFlipFlops`] for combinational circuits, and
     /// [`FlowError::ChainCount`] for an unusable `scan_chains` setting.
     pub fn run(circuit: &Circuit, config: &FlowConfig) -> Result<Self, FlowError> {
-        let (obs, collector) = config.obs.with_collector();
-        let result = {
-            let flow = obs.span(SpanKind::Flow, "generation-flow");
-            let gate = || -> Result<(), FlowError> {
-                if config.lint {
-                    let _span = flow.child(SpanKind::Pass, "lint-gate");
-                    lint_gate(circuit)?;
-                }
-                Ok(())
-            };
-            gate().and_then(|()| Self::run_validated(circuit, config, flow.handle()))
+        let input = Input::Circuit {
+            circuit,
+            lint: true,
         };
-        Self::attach_report(result, &collector)
+        run_whole(input, FlowKind::Generation, config).map(Self::from_driver)
     }
 
     /// Parses `.bench` source text and runs the generation flow on it.
@@ -444,92 +386,29 @@ impl GenerationFlow {
     /// As [`run`](Self::run), plus [`FlowError::Netlist`] when the source
     /// does not build and the gate is disabled.
     pub fn run_source(name: &str, source: &str, config: &FlowConfig) -> Result<Self, FlowError> {
-        let (obs, collector) = config.obs.with_collector();
-        let result = {
-            let flow = obs.span(SpanKind::Flow, "generation-flow");
-            let built = {
-                let _span = flow.child(SpanKind::Pass, "lint-gate");
-                build_source(name, source, config.lint)
-            };
-            // The source lint already covered the built form's rule families.
-            built.and_then(|circuit| Self::run_validated(&circuit, config, flow.handle()))
-        };
-        Self::attach_report(result, &collector)
+        let input = Input::Source { name, text: source };
+        run_whole(input, FlowKind::Generation, config).map(Self::from_driver)
     }
 
-    fn run_validated(
-        circuit: &Circuit,
-        config: &FlowConfig,
-        obs: &ObsHandle,
-    ) -> Result<Self, FlowError> {
-        check_scannable(circuit, config.scan_chains)?;
-        let (scan, faults) = {
-            let _span = obs.span(SpanKind::Pass, "scan-insert");
-            let scan = ScanCircuit::insert_chains(circuit, config.scan_chains);
-            let faults = FaultList::collapsed(scan.circuit()).sample(config.max_faults);
-            (scan, faults)
-        };
-        let (faults, target_order, analysis) =
-            apply_analysis(scan.circuit(), faults, &config.analysis, obs);
-        let generated = {
-            let span = obs.span(SpanKind::Pass, "generate");
-            match &config.engine {
-                Engine::Deterministic => {
-                    let mut atpg = SequentialAtpg::new(&scan, &faults, config.atpg.clone())
-                        .with_obs(span.handle());
-                    if let Some(order) = target_order {
-                        atpg = atpg.with_target_order(order);
-                    }
-                    atpg.run()
-                }
-                Engine::Genetic(gc) => {
-                    let (sequence, report) = GeneticAtpg::new(&scan, &faults, gc.clone()).run();
-                    let aborted = report.total() - report.detected_count();
-                    AtpgOutcome {
-                        sequence,
-                        report,
-                        funct_detected: 0,
-                        scan_loads: 0,
-                        aborted,
-                    }
-                }
-            }
-        };
-        let (restored, omitted) = compact_pipeline(
-            scan.circuit(),
-            &faults,
-            &generated.sequence,
-            config.omission_passes,
-            config.compaction,
-            obs,
-        );
-        Ok(GenerationFlow {
-            scan,
-            faults,
-            analysis,
+    /// The record of a run from scratch. The detection profile comes
+    /// straight from the generator's [`limscan_sim::DetectionReport`] —
+    /// deriving it from the event log would double-count, because
+    /// compaction re-simulates prefixes.
+    fn from_driver(run: Produced) -> Self {
+        let generated = run.generated.expect("a run from scratch generates");
+        let mut report = run.report;
+        if report.enabled {
+            report.detection_profile = generated.report.detection_profile();
+        }
+        GenerationFlow {
+            scan: run.scan,
+            faults: run.faults,
+            analysis: run.analysis,
             generated,
-            restored,
-            omitted,
-            report: FlowReport::default(),
-        })
-    }
-
-    /// Builds the [`FlowReport`] once the flow span has closed. The
-    /// detection profile comes straight from the generator's
-    /// [`limscan_sim::DetectionReport`] — deriving it from the event log
-    /// would double-count, because compaction re-simulates prefixes.
-    fn attach_report(
-        result: Result<Self, FlowError>,
-        collector: &MetricsCollector,
-    ) -> Result<Self, FlowError> {
-        result.map(|mut flow| {
-            let mut report = FlowReport::from_collector(collector);
-            if report.enabled {
-                report.detection_profile = flow.generated.report.detection_profile();
-            }
-            flow.report = report;
-            flow
-        })
+            restored: run.restored.expect("a run from scratch restores"),
+            omitted: run.omitted,
+            report,
+        }
     }
 
     /// Scan vectors (`scan_sel = 1`) in the generated sequence.
@@ -588,19 +467,11 @@ impl TranslationFlow {
     /// diagnostics and [`FlowError::NoFlipFlops`] for combinational
     /// circuits.
     pub fn run(circuit: &Circuit, config: &FlowConfig) -> Result<Self, FlowError> {
-        let (obs, collector) = config.obs.with_collector();
-        let result = {
-            let flow = obs.span(SpanKind::Flow, "translation-flow");
-            let gate = || -> Result<(), FlowError> {
-                if config.lint {
-                    let _span = flow.child(SpanKind::Pass, "lint-gate");
-                    lint_gate(circuit)?;
-                }
-                Ok(())
-            };
-            gate().and_then(|()| Self::run_validated(circuit, config, flow.handle()))
+        let input = Input::Circuit {
+            circuit,
+            lint: true,
         };
-        Self::attach_report(result, &collector)
+        run_whole(input, FlowKind::Translation, config).map(Self::from_driver)
     }
 
     /// Parses `.bench` source text and runs the translation flow on it
@@ -611,89 +482,34 @@ impl TranslationFlow {
     /// As [`run`](Self::run), plus [`FlowError::Netlist`] when the source
     /// does not build and the gate is disabled.
     pub fn run_source(name: &str, source: &str, config: &FlowConfig) -> Result<Self, FlowError> {
-        let (obs, collector) = config.obs.with_collector();
-        let result = {
-            let flow = obs.span(SpanKind::Flow, "translation-flow");
-            let built = {
-                let _span = flow.child(SpanKind::Pass, "lint-gate");
-                build_source(name, source, config.lint)
-            };
-            built.and_then(|circuit| Self::run_validated(&circuit, config, flow.handle()))
-        };
-        Self::attach_report(result, &collector)
+        let input = Input::Source { name, text: source };
+        run_whole(input, FlowKind::Translation, config).map(Self::from_driver)
     }
 
-    fn run_validated(
-        circuit: &Circuit,
-        config: &FlowConfig,
-        obs: &ObsHandle,
-    ) -> Result<Self, FlowError> {
-        check_scannable(circuit, 1)?;
-        let scan = {
-            let _span = obs.span(SpanKind::Pass, "scan-insert");
-            ScanCircuit::insert(circuit)
-        };
-        // The baseline targets faults of the original circuit (that is all
-        // a conventional tool sees).
-        let (baseline, baseline_compacted) = {
-            let _span = obs.span(SpanKind::Pass, "baseline");
-            let base_faults = FaultList::collapsed(circuit).sample(config.max_faults);
-            let baseline = first_approach::generate(circuit, &base_faults, &config.baseline);
-            let baseline_compacted = scan_test_set(circuit, &base_faults, &baseline.set);
-            (baseline, baseline_compacted)
-        };
-
-        let (translated, faults) = {
-            let _span = obs.span(SpanKind::Pass, "translate");
-            let mut translated = scan.translate(&baseline_compacted.set);
-            let mut rng = StdRng::seed_from_u64(config.seed);
-            translated.specify_x(&mut rng);
-            let faults = FaultList::collapsed(scan.circuit()).sample(config.max_faults);
-            (translated, faults)
-        };
-        // The translation flow has no sequential generator, so only the
-        // pruning half of the analysis applies (the target order is unused).
-        let (faults, _, analysis) = apply_analysis(scan.circuit(), faults, &config.analysis, obs);
-        let (restored, omitted) = compact_pipeline(
-            scan.circuit(),
-            &faults,
-            &translated,
-            config.omission_passes,
-            config.compaction,
-            obs,
-        );
-        Ok(TranslationFlow {
-            scan,
-            faults,
-            analysis,
-            baseline,
-            baseline_compacted,
-            translated,
-            restored,
-            omitted,
-            report: FlowReport::default(),
-        })
-    }
-
-    /// Builds the [`FlowReport`] once the flow span has closed. The
-    /// detection profile is re-derived from an unobserved simulation of
-    /// the translated sequence (only when tracing is live): the event log
-    /// cannot provide it, because compaction re-simulates prefixes and
-    /// would double-count detections.
-    fn attach_report(
-        result: Result<Self, FlowError>,
-        collector: &MetricsCollector,
-    ) -> Result<Self, FlowError> {
-        result.map(|mut flow| {
-            let mut report = FlowReport::from_collector(collector);
-            if report.enabled {
-                report.detection_profile =
-                    SeqFaultSim::run(flow.scan.circuit(), &flow.faults, &flow.translated)
-                        .detection_profile();
-            }
-            flow.report = report;
-            flow
-        })
+    /// The record of a run from scratch. The detection profile is
+    /// re-derived from an unobserved simulation of the translated sequence
+    /// (only when tracing is live): the event log cannot provide it,
+    /// because compaction re-simulates prefixes and would double-count
+    /// detections.
+    fn from_driver(run: Produced) -> Self {
+        let front = run.translated.expect("a run from scratch translates");
+        let mut report = run.report;
+        if report.enabled {
+            report.detection_profile =
+                SeqFaultSim::run(run.scan.circuit(), &run.faults, &front.sequence)
+                    .detection_profile();
+        }
+        TranslationFlow {
+            scan: run.scan,
+            faults: run.faults,
+            analysis: run.analysis,
+            baseline: front.baseline,
+            baseline_compacted: front.baseline_compacted,
+            translated: front.sequence,
+            restored: run.restored.expect("a run from scratch restores"),
+            omitted: run.omitted,
+            report,
+        }
     }
 
     /// Scan vectors in the translated sequence.
@@ -736,27 +552,6 @@ mod tests {
             "compaction must not lose coverage ({} vs {})",
             final_report.detected_count(),
             flow.generated.report.detected_count()
-        );
-    }
-
-    #[test]
-    fn reference_engine_reproduces_the_incremental_flow() {
-        // The flow-level knob dispatches to the oracle implementations,
-        // which must produce the exact same compacted sequences.
-        let incremental = GenerationFlow::run(&benchmarks::s27(), &FlowConfig::default()).unwrap();
-        let reference = GenerationFlow::run(
-            &benchmarks::s27(),
-            &FlowConfig {
-                compaction: CompactionEngine::Reference,
-                ..FlowConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(incremental.restored.sequence, reference.restored.sequence);
-        assert_eq!(incremental.omitted.sequence, reference.omitted.sequence);
-        assert_eq!(
-            incremental.omitted.extra_detected,
-            reference.omitted.extra_detected
         );
     }
 

@@ -1,9 +1,12 @@
-//! Budget-aware, checkpointing execution of the two flows.
+//! The pass-boundary driver behind both flows.
 //!
+//! Every flow run goes through this module.
 //! [`GenerationFlow`](crate::GenerationFlow) and
-//! [`TranslationFlow`](crate::TranslationFlow) run to completion or not at
-//! all. This module drives the same pipelines under a [`RunBudget`]: the
-//! run charges its work against a [`CancelToken`], writes a versioned
+//! [`TranslationFlow`](crate::TranslationFlow) run it from scratch with an
+//! unlimited budget and no snapshot store, and fill their records from
+//! what it produced in the process. The `*_resilient` entry points run it
+//! under a [`RunBudget`]:
+//! the run charges its work against a [`CancelToken`], writes a versioned
 //! [`FlowSnapshot`] at every pass boundary (when a [`SnapshotStore`] is
 //! configured), and — when a limit trips or the token is cancelled — stops
 //! at the next boundary with a typed [`FlowOutcome::Partial`] instead of
@@ -23,31 +26,35 @@
 //! Every arrow is a checkpoint; every box is a phase a snapshot can name.
 //! Restoration has no mid-run cursor: a budget trip during restoration
 //! discards the partial mask and the snapshot stays at the `Compact` phase
-//! (resume re-runs restoration from the uncompacted sequence).
+//! (resume re-runs restoration from the uncompacted sequence). Static
+//! analysis ([`FlowConfig::analysis`]) runs before every entry stage, so a
+//! resumed run prunes the same faults and targets them in the same order.
 
 use std::path::PathBuf;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use limscan_atpg::first_approach;
+use limscan_atpg::first_approach::{self, CombAtpgOutcome};
 use limscan_atpg::genetic::GeneticAtpg;
-use limscan_atpg::SequentialAtpg;
+use limscan_atpg::{AtpgOutcome, AtpgStop, SequentialAtpg};
 use limscan_compact::{
-    omission_pass_resumable, restoration_reference, restoration_resumable, scan_test_set,
-    CompactionEngine,
+    omission_pass_resumable, restoration_resumable, scan_test_set, Compacted, CompactedSet,
 };
-use limscan_fault::FaultList;
+use limscan_fault::{FaultId, FaultList};
 use limscan_harness::{
     fnv64, AtpgCursor, CancelToken, FlowKind, FlowOutcome, FlowPhase, FlowSnapshot, OmitCursor,
     RunBudget, SnapshotError, SnapshotStore, StopReason,
 };
 use limscan_netlist::{bench_format, Circuit};
-use limscan_obs::{FlowReport, Metric, MetricsCollector, ObsHandle, SpanKind};
+use limscan_obs::{FlowReport, Metric, ObsHandle, SpanKind};
 use limscan_scan::ScanCircuit;
 use limscan_sim::{SeqFaultSim, TestSequence};
 
-use crate::flow::{build_source, check_scannable, lint_gate, Engine, FlowConfig, FlowError};
+use crate::flow::{
+    apply_analysis, build_source, check_scannable, lint_gate, Engine, FlowAnalysis, FlowConfig,
+    FlowError,
+};
 
 /// Configuration of a resilient run: the flow itself plus its resource
 /// budget and (optionally) where to persist pass-boundary snapshots.
@@ -101,19 +108,58 @@ impl ResilientRun {
     }
 }
 
+/// The translation flow's front end: the conventional baseline set, its
+/// `[26]`-style pruning, and the X-specified translated sequence.
+pub(crate) struct Translated {
+    pub(crate) baseline: CombAtpgOutcome,
+    pub(crate) baseline_compacted: CompactedSet,
+    pub(crate) sequence: TestSequence,
+}
+
+/// What a completed driver run produced in this process. A run from
+/// scratch fills every field; a resumed run only those its entry stage
+/// reached.
+pub(crate) struct Produced {
+    pub(crate) scan: ScanCircuit,
+    pub(crate) faults: FaultList,
+    pub(crate) analysis: Option<FlowAnalysis>,
+    /// The generation flow's ATPG outcome.
+    pub(crate) generated: Option<AtpgOutcome>,
+    /// The translation flow's front end.
+    pub(crate) translated: Option<Translated>,
+    /// Restoration's record, when restoration ran in this process.
+    pub(crate) restored: Option<Compacted>,
+    /// Omission's record. Its `original_len` is the length of the sequence
+    /// omission started from in this process.
+    pub(crate) omitted: Compacted,
+    /// Faults `omitted.sequence` detects.
+    pub(crate) detected: usize,
+    pub(crate) report: FlowReport,
+}
+
+impl Produced {
+    fn into_run(self) -> ResilientRun {
+        ResilientRun {
+            sequence: self.omitted.sequence,
+            detected: self.detected,
+            total_faults: self.faults.len(),
+            report: self.report,
+        }
+    }
+}
+
 /// FNV-1a digest over every configuration knob that shapes the flow's
 /// determinism. Stored in each snapshot; a resume whose configuration
 /// hashes differently is refused rather than silently diverging.
 fn config_digest(kind: FlowKind, config: &FlowConfig) -> u64 {
     fnv64(
         format!(
-            "{:?}|{:?}|{:?}|{:?}|{}|{:?}|{}|{}|{}|{:?}",
+            "{:?}|{:?}|{:?}|{:?}|{}|{}|{}|{}|{:?}",
             kind,
             config.engine,
             config.atpg,
             config.baseline,
             config.omission_passes,
-            config.compaction,
             config.max_faults,
             config.scan_chains,
             config.seed,
@@ -134,7 +180,6 @@ fn snapshot_template(kind: FlowKind, circuit: &Circuit, config: &FlowConfig) -> 
         max_faults: config.max_faults,
         omission_passes: config.omission_passes,
         seed: config.seed,
-        reference_engine: config.compaction == CompactionEngine::Reference,
         circuit_bench: bench_format::write(circuit),
         phase: FlowPhase::Compact {
             sequence: TestSequence::new(0),
@@ -182,7 +227,7 @@ impl Boundary<'_> {
     // The large Err is the point: it is the finished partial outcome,
     // constructed once per run at most — not worth a box.
     #[allow(clippy::result_large_err)]
-    fn boundary(&mut self, phase: FlowPhase) -> Result<(), FlowOutcome<ResilientRun>> {
+    fn boundary<T>(&mut self, phase: FlowPhase) -> Result<(), FlowOutcome<T>> {
         self.index += 1;
         let snapshot = self.snapshot(phase);
         let path = self.persist(&snapshot);
@@ -198,7 +243,7 @@ impl Boundary<'_> {
 
     /// A mid-phase stop (an engine returned its cursor): snapshot the
     /// cursor and build the partial outcome.
-    fn partial(&mut self, reason: StopReason, phase: FlowPhase) -> FlowOutcome<ResilientRun> {
+    fn partial<T>(&mut self, reason: StopReason, phase: FlowPhase) -> FlowOutcome<T> {
         self.index += 1;
         let snapshot = self.snapshot(phase);
         let path = self.persist(&snapshot);
@@ -212,58 +257,87 @@ impl Boundary<'_> {
 
 /// Where a (possibly resumed) run enters the pipeline.
 enum Stage {
-    /// Generation, from scratch (`None`) or an interrupted cursor.
+    /// The front end (generation or baseline + translation), from scratch
+    /// (`None`) or an interrupted ATPG cursor.
     Generate(Option<AtpgCursor>),
-    /// Generation done; the uncompacted sequence awaits restoration.
+    /// Front end done; the uncompacted sequence awaits restoration.
     Compact(TestSequence),
     /// Restoration done; omission passes in progress.
     Omit(OmitCursor),
 }
 
-/// Entry point into the shared compaction tail.
+/// Entry point into the compaction tail.
 enum CompactStage {
     Restore(TestSequence),
     Omit(OmitCursor),
 }
 
-fn drive_generation(
+/// Where the driver's circuit comes from.
+pub(crate) enum Input<'a> {
+    /// A built circuit; with `lint`, the gate runs on it first (subject to
+    /// [`FlowConfig::lint`]).
+    Circuit { circuit: &'a Circuit, lint: bool },
+    /// `.bench` source text, parsed (and linted, subject to
+    /// [`FlowConfig::lint`]) inside the flow span.
+    Source { name: &'a str, text: &'a str },
+}
+
+/// Runs one flow from `start` to completion or to the first budget stop:
+/// scan insertion, static analysis, the front end, restoration, and the
+/// omission passes, with a checkpoint at every boundary.
+fn drive(
     circuit: &Circuit,
+    kind: FlowKind,
     config: &FlowConfig,
     ctl: &CancelToken,
     bdy: &mut Boundary<'_>,
     obs: &ObsHandle,
     start: Stage,
-) -> Result<FlowOutcome<ResilientRun>, FlowError> {
-    check_scannable(circuit, config.scan_chains)?;
+) -> Result<FlowOutcome<Produced>, FlowError> {
+    // The translation flow always uses a single chain, matching the
+    // conventional baseline's cycle accounting.
+    let chains = match kind {
+        FlowKind::Generation => config.scan_chains,
+        FlowKind::Translation => 1,
+    };
+    check_scannable(circuit, chains)?;
     let (scan, faults) = {
         let _span = obs.span(SpanKind::Pass, "scan-insert");
-        let scan = ScanCircuit::insert_chains(circuit, config.scan_chains);
+        let scan = ScanCircuit::insert_chains(circuit, chains);
         let faults = FaultList::collapsed(scan.circuit()).sample(config.max_faults);
         (scan, faults)
     };
+    // Re-derived on every entry: a resumed run's fault indices and target
+    // order are those of the run that wrote the snapshot. The translation
+    // flow has no sequential generator, so only the pruning applies there.
+    let (faults, target_order, analysis) =
+        apply_analysis(scan.circuit(), faults, &config.analysis, obs);
 
-    let stage = match start {
+    let mut generated = None;
+    let mut translated = None;
+    let start = match start {
         Stage::Generate(cursor) => {
-            let sequence = {
-                let span = obs.span(SpanKind::Pass, "generate");
-                match &config.engine {
-                    Engine::Deterministic => {
-                        let atpg = SequentialAtpg::new(&scan, &faults, config.atpg.clone())
-                            .with_obs(span.handle());
-                        match atpg.run_budgeted(ctl, cursor.as_ref()) {
-                            Ok(outcome) => outcome.sequence,
-                            Err(stop) => {
-                                return Ok(
-                                    bdy.partial(stop.reason, FlowPhase::Generate(stop.cursor))
-                                );
-                            }
+            let sequence = match kind {
+                FlowKind::Generation => {
+                    match generate(
+                        &scan,
+                        &faults,
+                        target_order,
+                        config,
+                        ctl,
+                        cursor.as_ref(),
+                        obs,
+                    ) {
+                        Ok(outcome) => generated.insert(outcome).sequence.clone(),
+                        Err(stop) => {
+                            return Ok(bdy.partial(stop.reason, FlowPhase::Generate(stop.cursor)))
                         }
                     }
-                    // The genetic engine is simulation-driven and atomic:
-                    // it has no safe mid-run cursor, so it runs whole and
-                    // the budget is consulted at the boundary after it.
-                    Engine::Genetic(gc) => GeneticAtpg::new(&scan, &faults, gc.clone()).run().0,
                 }
+                FlowKind::Translation => translated
+                    .insert(translate(circuit, &scan, config, obs))
+                    .sequence
+                    .clone(),
             };
             if let Err(partial) = bdy.boundary(FlowPhase::Compact {
                 sequence: sequence.clone(),
@@ -275,94 +349,124 @@ fn drive_generation(
         Stage::Compact(sequence) => CompactStage::Restore(sequence),
         Stage::Omit(cursor) => CompactStage::Omit(cursor),
     };
-    Ok(compact_stages(&scan, &faults, config, ctl, bdy, obs, stage))
+
+    let (restored, omitted, detected) =
+        match compact(scan.circuit(), &faults, config, ctl, bdy, obs, start) {
+            Ok(compacted) => compacted,
+            Err(partial) => return Ok(partial),
+        };
+    Ok(FlowOutcome::Complete(Produced {
+        scan,
+        faults,
+        analysis,
+        generated,
+        translated,
+        restored,
+        omitted,
+        detected,
+        report: FlowReport::default(),
+    }))
 }
 
-fn drive_translation(
-    circuit: &Circuit,
+/// The generation flow's front end: the configured engine over `faults`,
+/// in `target_order` when static analysis chose one. The deterministic
+/// engine stops at an episode boundary when the token trips.
+fn generate(
+    scan: &ScanCircuit,
+    faults: &FaultList,
+    target_order: Option<Vec<FaultId>>,
     config: &FlowConfig,
     ctl: &CancelToken,
-    bdy: &mut Boundary<'_>,
+    cursor: Option<&AtpgCursor>,
     obs: &ObsHandle,
-    start: Stage,
-) -> Result<FlowOutcome<ResilientRun>, FlowError> {
-    check_scannable(circuit, 1)?;
-    let scan = {
-        let _span = obs.span(SpanKind::Pass, "scan-insert");
-        ScanCircuit::insert(circuit)
-    };
-    let faults = FaultList::collapsed(scan.circuit()).sample(config.max_faults);
-
-    let stage = match start {
-        // The baseline + translation front end is atomic and fully
-        // deterministic, so any pre-compaction entry re-runs it whole; the
-        // first checkpoint is the translated sequence.
-        Stage::Generate(_) => {
-            let baseline_compacted = {
-                let _span = obs.span(SpanKind::Pass, "baseline");
-                let base_faults = FaultList::collapsed(circuit).sample(config.max_faults);
-                let baseline = first_approach::generate(circuit, &base_faults, &config.baseline);
-                scan_test_set(circuit, &base_faults, &baseline.set)
-            };
-            let translated = {
-                let _span = obs.span(SpanKind::Pass, "translate");
-                let mut translated = scan.translate(&baseline_compacted.set);
-                let mut rng = StdRng::seed_from_u64(config.seed);
-                translated.specify_x(&mut rng);
-                translated
-            };
-            if let Err(partial) = bdy.boundary(FlowPhase::Compact {
-                sequence: translated.clone(),
-            }) {
-                return Ok(partial);
+) -> Result<AtpgOutcome, AtpgStop> {
+    let span = obs.span(SpanKind::Pass, "generate");
+    match &config.engine {
+        Engine::Deterministic => {
+            let mut atpg =
+                SequentialAtpg::new(scan, faults, config.atpg.clone()).with_obs(span.handle());
+            if let Some(order) = target_order {
+                atpg = atpg.with_target_order(order);
             }
-            CompactStage::Restore(translated)
+            atpg.run_budgeted(ctl, cursor)
         }
-        Stage::Compact(sequence) => CompactStage::Restore(sequence),
-        Stage::Omit(cursor) => CompactStage::Omit(cursor),
-    };
-    Ok(compact_stages(&scan, &faults, config, ctl, bdy, obs, stage))
+        // The genetic engine is simulation-driven and atomic: it has no
+        // safe mid-run cursor, so it runs whole and the budget is consulted
+        // at the boundary after it.
+        Engine::Genetic(gc) => {
+            let (sequence, report) = GeneticAtpg::new(scan, faults, gc.clone()).run();
+            let aborted = report.total() - report.detected_count();
+            Ok(AtpgOutcome {
+                sequence,
+                report,
+                funct_detected: 0,
+                scan_loads: 0,
+                aborted,
+            })
+        }
+    }
 }
 
-/// The restoration → omission tail shared by both flows, with a checkpoint
-/// after restoration and between omission passes. Mirrors the classic
-/// `compact_pipeline` pass-for-pass so a `Complete` outcome's sequence is
-/// identical to the uninterrupted flow's.
-fn compact_stages(
+/// The translation flow's front end. It is atomic and fully deterministic,
+/// so it always runs whole; the first checkpoint is the translated
+/// sequence.
+fn translate(
+    circuit: &Circuit,
     scan: &ScanCircuit,
+    config: &FlowConfig,
+    obs: &ObsHandle,
+) -> Translated {
+    // The baseline targets faults of the original circuit (that is all a
+    // conventional tool sees).
+    let (baseline, baseline_compacted) = {
+        let _span = obs.span(SpanKind::Pass, "baseline");
+        let base_faults = FaultList::collapsed(circuit).sample(config.max_faults);
+        let baseline = first_approach::generate(circuit, &base_faults, &config.baseline);
+        let compacted = scan_test_set(circuit, &base_faults, &baseline.set);
+        (baseline, compacted)
+    };
+    let sequence = {
+        let _span = obs.span(SpanKind::Pass, "translate");
+        let mut sequence = scan.translate(&baseline_compacted.set);
+        sequence.specify_x(&mut StdRng::seed_from_u64(config.seed));
+        sequence
+    };
+    Translated {
+        baseline,
+        baseline_compacted,
+        sequence,
+    }
+}
+
+/// The restoration → omission tail, entered at `Compact` or `Omit`, with a
+/// checkpoint after restoration and between omission passes. Returns the
+/// restoration record (when restoration ran), the omission record, and the
+/// final detected count.
+// The large Err is the finished partial outcome, as in `Boundary`.
+#[allow(clippy::result_large_err)]
+fn compact(
+    circuit: &Circuit,
     faults: &FaultList,
     config: &FlowConfig,
     ctl: &CancelToken,
     bdy: &mut Boundary<'_>,
     obs: &ObsHandle,
     start: CompactStage,
-) -> FlowOutcome<ResilientRun> {
-    let circuit = scan.circuit();
-    let mut cursor = match start {
+) -> Result<(Option<Compacted>, Compacted, usize), FlowOutcome<Produced>> {
+    let (restored, mut cursor) = match start {
         CompactStage::Restore(sequence) => {
             let restored = {
                 let span = obs.span(SpanKind::Pass, "restore");
-                let result = match config.compaction {
-                    CompactionEngine::Incremental => {
-                        restoration_resumable(circuit, faults, &sequence, span.handle(), ctl)
-                    }
-                    // The reference oracle must stay instrumentation-free;
-                    // it runs whole and the token is consulted after.
-                    CompactionEngine::Reference => {
-                        let r = restoration_reference(circuit, faults, &sequence);
-                        ctl.check().map(|()| r)
-                    }
-                };
-                match result {
-                    Ok(r) => r,
+                match restoration_resumable(circuit, faults, &sequence, span.handle(), ctl) {
+                    Ok(restored) => restored,
                     // Restoration has no mid-run cursor: the partial mask
                     // is discarded and resume re-runs it from `sequence`.
-                    Err(reason) => return bdy.partial(reason, FlowPhase::Compact { sequence }),
+                    Err(reason) => return Err(bdy.partial(reason, FlowPhase::Compact { sequence })),
                 }
             };
             // Omission targets are the faults the restored sequence
-            // detects (matching `omission_observed`); stored as indices in
-            // the cursor so a resumed run compacts toward the same set.
+            // detects; stored as indices in the cursor so a resumed run
+            // compacts toward the same set.
             let targets: Vec<usize> = SeqFaultSim::run(circuit, faults, &restored.sequence)
                 .detected()
                 .iter()
@@ -370,18 +474,16 @@ fn compact_stages(
                 .collect();
             let cursor = OmitCursor {
                 pass: 0,
-                sequence: restored.sequence,
+                sequence: restored.sequence.clone(),
                 targets,
-                original_len: sequence.len(),
             };
-            if let Err(partial) = bdy.boundary(FlowPhase::Omit(cursor.clone())) {
-                return partial;
-            }
-            cursor
+            bdy.boundary(FlowPhase::Omit(cursor.clone()))?;
+            (Some(restored), cursor)
         }
-        CompactStage::Omit(cursor) => cursor,
+        CompactStage::Omit(cursor) => (None, cursor),
     };
 
+    let original_len = cursor.sequence.len();
     {
         let span = obs.span(SpanKind::Pass, "omit");
         while cursor.pass < config.omission_passes && !cursor.sequence.is_empty() {
@@ -391,7 +493,6 @@ fn compact_stages(
                 &cursor.sequence,
                 &cursor.targets,
                 cursor.pass,
-                config.compaction,
                 span.handle(),
                 ctl,
             ) {
@@ -402,51 +503,47 @@ fn compact_stages(
                         break;
                     }
                     if cursor.pass < config.omission_passes {
-                        if let Err(partial) = bdy.boundary(FlowPhase::Omit(cursor.clone())) {
-                            return partial;
-                        }
+                        bdy.boundary(FlowPhase::Omit(cursor.clone()))?;
                     }
                 }
                 // A tripped pass discards its partial work; the cursor
                 // still names the sequence the pass started from.
-                Err(reason) => return bdy.partial(reason, FlowPhase::Omit(cursor.clone())),
+                Err(reason) => return Err(bdy.partial(reason, FlowPhase::Omit(cursor.clone()))),
             }
         }
     }
 
     let report = SeqFaultSim::run(circuit, faults, &cursor.sequence);
-    FlowOutcome::Complete(ResilientRun {
-        sequence: cursor.sequence,
-        detected: report.detected_count(),
-        total_faults: faults.len(),
-        report: FlowReport::default(),
-    })
-}
-
-/// Fills in the completed run's [`FlowReport`] once the flow span closed.
-fn attach(
-    outcome: FlowOutcome<ResilientRun>,
-    collector: &MetricsCollector,
-) -> FlowOutcome<ResilientRun> {
-    match outcome {
-        FlowOutcome::Complete(mut run) => {
-            run.report = FlowReport::from_collector(collector);
-            FlowOutcome::Complete(run)
-        }
-        partial => partial,
+    let mut was_target = vec![false; faults.len()];
+    for &t in &cursor.targets {
+        was_target[t] = true;
     }
+    let extra_detected = faults
+        .ids()
+        .filter(|&id| report.is_detected(id) && !was_target[id.index()])
+        .count();
+    let omitted = Compacted {
+        sequence: cursor.sequence,
+        original_len,
+        target_count: cursor.targets.len(),
+        extra_detected,
+    };
+    Ok((restored, omitted, report.detected_count()))
 }
 
+/// Opens the flow span, gates or builds the circuit, runs [`drive`], and
+/// attaches this process's [`FlowReport`] to a completed run once the span
+/// has closed.
 fn execute(
-    circuit: &Circuit,
-    rcfg: &ResilientConfig,
+    input: Input<'_>,
+    config: &FlowConfig,
+    budget: RunBudget,
+    store: Option<&SnapshotStore>,
     kind: FlowKind,
     start: Stage,
-    lint: bool,
-) -> Result<FlowOutcome<ResilientRun>, FlowError> {
-    let config = &rcfg.flow;
+) -> Result<FlowOutcome<Produced>, FlowError> {
     let (obs, collector) = config.obs.with_collector();
-    let result = {
+    let outcome = {
         let flow = obs.span(
             SpanKind::Flow,
             match kind {
@@ -454,39 +551,80 @@ fn execute(
                 FlowKind::Translation => "translation-flow",
             },
         );
-        let gate = || -> Result<(), FlowError> {
-            if lint && config.lint {
+        let built;
+        let circuit = match input {
+            Input::Circuit { circuit, lint } => {
+                if lint && config.lint {
+                    let _span = flow.child(SpanKind::Pass, "lint-gate");
+                    lint_gate(circuit)?;
+                }
+                circuit
+            }
+            Input::Source { name, text } => {
+                // The source lint already covers the built form's rule
+                // families.
                 let _span = flow.child(SpanKind::Pass, "lint-gate");
-                lint_gate(circuit)?;
+                built = build_source(name, text, config.lint)?;
+                &built
             }
-            Ok(())
         };
-        gate().and_then(|()| {
-            let ctl = CancelToken::new(rcfg.budget.clone());
-            let mut bdy = Boundary {
-                template: snapshot_template(kind, circuit, config),
-                store: rcfg.snapshots.as_ref(),
-                ctl: &ctl,
-                obs: flow.handle(),
-                index: 0,
-            };
-            match kind {
-                FlowKind::Generation => {
-                    drive_generation(circuit, config, &ctl, &mut bdy, flow.handle(), start)
-                }
-                FlowKind::Translation => {
-                    drive_translation(circuit, config, &ctl, &mut bdy, flow.handle(), start)
-                }
-            }
-        })
+        let ctl = CancelToken::new(budget);
+        let mut bdy = Boundary {
+            template: snapshot_template(kind, circuit, config),
+            store,
+            ctl: &ctl,
+            obs: flow.handle(),
+            index: 0,
+        };
+        drive(circuit, kind, config, &ctl, &mut bdy, flow.handle(), start)?
     };
-    Ok(attach(result?, &collector))
+    Ok(outcome.map(|mut produced| {
+        produced.report = FlowReport::from_collector(&collector);
+        produced
+    }))
+}
+
+/// Runs a flow from scratch with an unlimited budget and no snapshot store:
+/// the classic entry points
+/// ([`GenerationFlow::run`](crate::GenerationFlow::run) and friends).
+pub(crate) fn run_whole(
+    input: Input<'_>,
+    kind: FlowKind,
+    config: &FlowConfig,
+) -> Result<Produced, FlowError> {
+    let outcome = execute(
+        input,
+        config,
+        RunBudget::unlimited(),
+        None,
+        kind,
+        Stage::Generate(None),
+    )?;
+    Ok(outcome.into_complete())
+}
+
+fn execute_resilient(
+    input: Input<'_>,
+    rcfg: &ResilientConfig,
+    kind: FlowKind,
+    start: Stage,
+) -> Result<FlowOutcome<ResilientRun>, FlowError> {
+    let outcome = execute(
+        input,
+        &rcfg.flow,
+        rcfg.budget.clone(),
+        rcfg.snapshots.as_ref(),
+        kind,
+        start,
+    )?;
+    Ok(outcome.map(Produced::into_run))
 }
 
 /// Runs the generation flow under a budget, checkpointing at every pass
 /// boundary. A `Complete` outcome's sequence is bit-identical to
 /// [`GenerationFlow::run`](crate::GenerationFlow::run)'s compacted
-/// (`omitted`) sequence under the same [`FlowConfig`].
+/// (`omitted`) sequence under the same [`FlowConfig`] — the classic flow is
+/// this driver's unlimited case.
 ///
 /// # Errors
 ///
@@ -498,12 +636,14 @@ pub fn run_generation_resilient(
     circuit: &Circuit,
     rcfg: &ResilientConfig,
 ) -> Result<FlowOutcome<ResilientRun>, FlowError> {
-    execute(
-        circuit,
+    execute_resilient(
+        Input::Circuit {
+            circuit,
+            lint: true,
+        },
         rcfg,
         FlowKind::Generation,
         Stage::Generate(None),
-        true,
     )
 }
 
@@ -518,12 +658,14 @@ pub fn run_translation_resilient(
     circuit: &Circuit,
     rcfg: &ResilientConfig,
 ) -> Result<FlowOutcome<ResilientRun>, FlowError> {
-    execute(
-        circuit,
+    execute_resilient(
+        Input::Circuit {
+            circuit,
+            lint: true,
+        },
         rcfg,
         FlowKind::Translation,
         Stage::Generate(None),
-        true,
     )
 }
 
@@ -532,8 +674,8 @@ pub fn run_translation_resilient(
 /// same checkpoint boundaries as [`run_generation_resilient`] — this is
 /// how a standalone "compact this sequence" job gets the full park/resume
 /// treatment. A `Complete` outcome matches
-/// [`compact_pipeline`](limscan_compact::compact_pipeline) over the same
-/// scan circuit and fault list.
+/// [`GenerationFlow::run`](crate::GenerationFlow::run)'s `omitted`
+/// sequence when `sequence` is that flow's generated sequence.
 ///
 /// # Errors
 ///
@@ -543,12 +685,14 @@ pub fn run_compaction_resilient(
     sequence: &TestSequence,
     rcfg: &ResilientConfig,
 ) -> Result<FlowOutcome<ResilientRun>, FlowError> {
-    execute(
-        circuit,
+    execute_resilient(
+        Input::Circuit {
+            circuit,
+            lint: true,
+        },
         rcfg,
         FlowKind::Generation,
         Stage::Compact(sequence.clone()),
-        true,
     )
 }
 
@@ -579,7 +723,15 @@ pub fn resume_flow(
         FlowPhase::Compact { sequence } => Stage::Compact(sequence.clone()),
         FlowPhase::Omit(c) => Stage::Omit(c.clone()),
     };
-    execute(&circuit, rcfg, snapshot.kind, start, false)
+    execute_resilient(
+        Input::Circuit {
+            circuit: &circuit,
+            lint: false,
+        },
+        rcfg,
+        snapshot.kind,
+        start,
+    )
 }
 
 #[cfg(test)]

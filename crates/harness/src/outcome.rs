@@ -39,6 +39,23 @@ impl<T> FlowOutcome<T> {
         matches!(self, FlowOutcome::Complete(_))
     }
 
+    /// Maps the completed artifact; a partial outcome passes through.
+    #[must_use]
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> FlowOutcome<U> {
+        match self {
+            FlowOutcome::Complete(t) => FlowOutcome::Complete(f(t)),
+            FlowOutcome::Partial {
+                reason,
+                snapshot,
+                path,
+            } => FlowOutcome::Partial {
+                reason,
+                snapshot,
+                path,
+            },
+        }
+    }
+
     /// Unwrap the completed artifact.
     ///
     /// # Panics

@@ -20,7 +20,7 @@ use limscan_sim::{Logic, TestSequence};
 /// Version tag written in the snapshot header. Bump on any incompatible
 /// format change; old versions are rejected with
 /// [`SnapshotError::UnsupportedVersion`] rather than misparsed.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// FNV-1a 64-bit hash, used for the snapshot body checksum and the flow
 /// configuration digest. Stable across platforms and dependency-free.
@@ -89,8 +89,6 @@ pub struct OmitCursor {
     /// faults detected before compaction began. Stored explicitly because
     /// they are defined by the *original* sequence, not the current one.
     pub targets: Vec<usize>,
-    /// Length of the sequence omission started from, for reporting.
-    pub original_len: usize,
 }
 
 /// Where in the flow a snapshot was taken.
@@ -136,8 +134,6 @@ pub struct FlowSnapshot {
     pub omission_passes: usize,
     /// Flow-level seed (X-fill).
     pub seed: u64,
-    /// Whether the reference compaction engine was selected.
-    pub reference_engine: bool,
     /// The circuit under test as `.bench` text, making the snapshot
     /// self-contained and letting resume verify it simulates identically.
     pub circuit_bench: String,
@@ -242,15 +238,6 @@ impl FlowSnapshot {
         let _ = writeln!(body, "max-faults {}", self.max_faults);
         let _ = writeln!(body, "passes {}", self.omission_passes);
         let _ = writeln!(body, "seed {}", self.seed);
-        let _ = writeln!(
-            body,
-            "engine {}",
-            if self.reference_engine {
-                "reference"
-            } else {
-                "incremental"
-            }
-        );
         let circuit_lines: Vec<&str> = self.circuit_bench.lines().collect();
         let _ = writeln!(body, "circuit {}", circuit_lines.len());
         for line in circuit_lines {
@@ -277,7 +264,6 @@ impl FlowSnapshot {
             }
             FlowPhase::Omit(c) => {
                 let _ = writeln!(body, "pass {}", c.pass);
-                let _ = writeln!(body, "original-len {}", c.original_len);
                 let mut targets = format!("targets {}", c.targets.len());
                 for t in &c.targets {
                     let _ = write!(targets, " {t}");
@@ -343,11 +329,6 @@ impl FlowSnapshot {
         let max_faults = r.parse_value("max-faults")?;
         let omission_passes = r.parse_value("passes")?;
         let seed: u64 = r.parse_value("seed")?;
-        let reference_engine = match r.value("engine")? {
-            "reference" => true,
-            "incremental" => false,
-            other => return Err(malformed(r.line_no, format!("unknown engine `{other}`"))),
-        };
         let n_circuit: usize = r.parse_value("circuit")?;
         let mut circuit_bench = String::new();
         for _ in 0..n_circuit {
@@ -385,7 +366,6 @@ impl FlowSnapshot {
             },
             "omit" => {
                 let pass = r.parse_value("pass")?;
-                let original_len = r.parse_value("original-len")?;
                 let targets_line = r.value("targets")?;
                 let mut it = targets_line.split_whitespace();
                 let count: usize = it
@@ -403,7 +383,6 @@ impl FlowSnapshot {
                     pass,
                     sequence: r.sequence()?,
                     targets,
-                    original_len,
                 })
             }
             other => return Err(malformed(r.line_no, format!("unknown phase `{other}`"))),
@@ -419,7 +398,6 @@ impl FlowSnapshot {
             max_faults,
             omission_passes,
             seed,
-            reference_engine,
             circuit_bench,
             phase,
         })
@@ -518,7 +496,6 @@ mod tests {
             max_faults: 0,
             omission_passes: 2,
             seed: 42,
-            reference_engine: false,
             circuit_bench: "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n".to_string(),
             phase,
         }
@@ -543,7 +520,6 @@ mod tests {
                 pass: 1,
                 sequence: sample_sequence(),
                 targets: vec![0, 3, 9],
-                original_len: 12,
             }),
         ];
         for phase in phases {
@@ -572,11 +548,31 @@ mod tests {
         let snap = sample(FlowPhase::Compact {
             sequence: sample_sequence(),
         });
-        let text = snap.to_text().replacen("v1", "v999", 1);
+        let text = snap
+            .to_text()
+            .replacen(&format!("v{SNAPSHOT_VERSION}"), "v999", 1);
         assert!(matches!(
             FlowSnapshot::from_text(&text),
             Err(SnapshotError::UnsupportedVersion { .. })
         ));
+    }
+
+    #[test]
+    fn version_one_snapshots_are_refused() {
+        // v1 carried an `engine` line and an omission `original-len`; its
+        // texts are refused by their header, before the body is read.
+        let snap = sample(FlowPhase::Compact {
+            sequence: sample_sequence(),
+        });
+        let text = snap
+            .to_text()
+            .replacen(&format!("v{SNAPSHOT_VERSION}"), "v1", 1);
+        assert_eq!(
+            FlowSnapshot::from_text(&text),
+            Err(SnapshotError::UnsupportedVersion {
+                found: "v1".to_string()
+            })
+        );
     }
 
     #[test]
@@ -585,7 +581,6 @@ mod tests {
             pass: 0,
             sequence: sample_sequence(),
             targets: vec![1, 2],
-            original_len: 5,
         }));
         let text = snap.to_text();
         // Cut the body but keep the checksum consistent with the cut, so

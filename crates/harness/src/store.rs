@@ -191,7 +191,6 @@ mod tests {
             max_faults: 0,
             omission_passes: 2,
             seed: 7,
-            reference_engine: false,
             circuit_bench: "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n".to_string(),
             phase: FlowPhase::Compact {
                 sequence: TestSequence::new(2),

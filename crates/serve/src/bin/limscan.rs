@@ -87,18 +87,15 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use limscan::atpg::genetic::GeneticConfig;
-use limscan::compact::{
-    omission_pass_resumable, restoration_resumable, restore_then_omit_observed, CompactionEngine,
-};
 use limscan::fault::CollapseStats;
 use limscan::netlist::{bench_format, blif_format, CircuitStats};
-use limscan::obs::SpanKind;
 use limscan::scan::program::{parse_program, program_stats, write_program};
 use limscan::{
-    benchmarks, resume_flow, run_generation_resilient, AnalysisOptions, CancelToken, Circuit,
-    DifferentialFlow, Engine, EquivFlow, EquivOptions, EquivVerdict, FaultList, FlowConfig,
-    FlowKind, FlowOutcome, FlowReport, GenerationFlow, Logic, ObsHandle, ResilientConfig,
-    RunBudget, ScanCircuit, SeqFaultSim, SnapshotStore, StaticAnalysis, StopReason,
+    benchmarks, resume_flow, run_compaction_resilient, run_generation_resilient, AnalysisOptions,
+    Circuit, DifferentialFlow, Engine, EquivFlow, EquivOptions, EquivVerdict, FaultList,
+    FlowConfig, FlowKind, FlowOutcome, FlowPhase, FlowReport, GenerationFlow, Logic, ObsHandle,
+    ResilientConfig, RunBudget, ScanCircuit, SeqFaultSim, SnapshotStore, StaticAnalysis,
+    StopReason,
 };
 use limscan_serve::{Server, ServerConfig, TenantQuota};
 
@@ -487,8 +484,10 @@ fn cmd_generate(args: &[String]) -> Result<ExitCode, String> {
         ..FlowConfig::default()
     };
 
-    // Budgeted / checkpointed runs go through the resilient driver; a
-    // plain run keeps the classic flow (identical result, richer report).
+    // Both paths run the same pass-boundary driver. A budgeted or
+    // checkpointed run gets the resumable outcome; a plain run gets the
+    // classic record, which also carries the uncompacted sequence and the
+    // analysis summary.
     if limited || snapshots.is_some() {
         if !compact {
             return Err("--no-compact cannot be combined with a budget or snapshots".into());
@@ -603,81 +602,31 @@ fn cmd_compact(args: &[String]) -> Result<ExitCode, String> {
     }
     let faults = FaultList::collapsed(sc.circuit());
     let (obs, metrics) = obs_from_args(args)?;
-    let (budget, limited) = budget_from_args(args)?;
+    let (budget, _) = budget_from_args(args)?;
     let (obs, collector) = obs.with_collector();
-    let mut stopped: Option<StopReason> = None;
-    let (before, final_seq) = {
-        let flow_span = obs.span(SpanKind::Flow, "compact-flow");
-        let before = {
-            let span = flow_span.child(SpanKind::Pass, "baseline-sim");
-            let mut sim = SeqFaultSim::new(sc.circuit(), &faults);
-            sim.set_obs(span.handle());
-            sim.extend(&sequence);
-            sim.report()
-        };
-        let final_seq = if limited {
-            // Budget-aware pipeline: a trip keeps the best result reached
-            // so far (the sequence as of the last completed stage).
-            let ctl = CancelToken::new(budget);
-            let restored = {
-                let span = flow_span.child(SpanKind::Pass, "restore");
-                restoration_resumable(sc.circuit(), &faults, &sequence, span.handle(), &ctl)
-            };
-            match restored {
-                Err(reason) => {
-                    stopped = Some(reason);
-                    sequence.clone()
-                }
-                Ok(restored) => {
-                    let targets: Vec<usize> =
-                        SeqFaultSim::run(sc.circuit(), &faults, &restored.sequence)
-                            .detected()
-                            .iter()
-                            .map(|id| id.index())
-                            .collect();
-                    let span = flow_span.child(SpanKind::Pass, "omit");
-                    let mut current = restored.sequence;
-                    let mut pass = 0;
-                    while pass < passes && !current.is_empty() {
-                        match omission_pass_resumable(
-                            sc.circuit(),
-                            &faults,
-                            &current,
-                            &targets,
-                            pass,
-                            CompactionEngine::Incremental,
-                            span.handle(),
-                            &ctl,
-                        ) {
-                            Ok((next, changed)) => {
-                                current = next;
-                                pass += 1;
-                                if !changed {
-                                    break;
-                                }
-                            }
-                            Err(reason) => {
-                                stopped = Some(reason);
-                                break;
-                            }
-                        }
-                    }
-                    current
-                }
-            }
-        } else {
-            restore_then_omit_observed(
-                sc.circuit(),
-                &faults,
-                &sequence,
-                passes,
-                CompactionEngine::Incremental,
-                flow_span.handle(),
-            )
-            .sequence
-        };
-        (before, final_seq)
+    let rcfg = ResilientConfig {
+        flow: FlowConfig {
+            omission_passes: passes,
+            obs,
+            ..FlowConfig::default()
+        },
+        budget,
+        snapshots: None,
     };
+    let outcome =
+        run_compaction_resilient(&circuit, &sequence, &rcfg).map_err(|e| e.to_string())?;
+    // A stop keeps the best result reached so far: the sequence as of the
+    // last completed omission pass, or the input while restoration ran.
+    let (final_seq, stopped) = match outcome {
+        FlowOutcome::Complete(run) => (run.sequence, None),
+        FlowOutcome::Partial {
+            reason, snapshot, ..
+        } => match snapshot.phase {
+            FlowPhase::Omit(cursor) => (cursor.sequence, Some(reason)),
+            FlowPhase::Compact { .. } | FlowPhase::Generate(_) => (sequence.clone(), Some(reason)),
+        },
+    };
+    let before = SeqFaultSim::run(sc.circuit(), &faults, &sequence);
     if metrics {
         let mut report = FlowReport::from_collector(&collector);
         if report.enabled {
@@ -730,11 +679,6 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
         max_faults: snapshot.max_faults,
         omission_passes: snapshot.omission_passes,
         seed: snapshot.seed,
-        compaction: if snapshot.reference_engine {
-            CompactionEngine::Reference
-        } else {
-            CompactionEngine::Incremental
-        },
         obs,
         ..FlowConfig::default()
     };

@@ -60,6 +60,49 @@ fn generate_then_compact_roundtrip() {
 }
 
 #[test]
+fn budgeted_compact_stops_with_status_3_and_writes_the_best_program() {
+    let prog = temp_path("s27_uncompacted.prog");
+    let out = limscan()
+        .args([
+            "generate",
+            "s27",
+            "--no-compact",
+            "-o",
+            prog.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stopped = temp_path("s27_stopped.prog");
+    let out = limscan()
+        .args([
+            "compact",
+            "s27",
+            prog.to_str().unwrap(),
+            "--max-vectors",
+            "1",
+            "-o",
+            stopped.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("stopped early"), "{stderr}");
+    let len = |path: &PathBuf| {
+        let text = std::fs::read_to_string(path).expect("program written");
+        limscan::scan::program::parse_program(&text)
+            .expect("program parses")
+            .len()
+    };
+    assert!(len(&stopped) <= len(&prog));
+}
+
+#[test]
 fn generate_accepts_bench_files_and_engine_flags() {
     // Write a .bench file, then run the genetic engine on it uncompacted.
     let bench = temp_path("toy.bench");

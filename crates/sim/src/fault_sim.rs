@@ -1622,7 +1622,7 @@ mod tests {
     }
 
     #[test]
-    fn event_driven_engine_matches_reference_engine() {
+    fn event_driven_engine_matches_the_dense_reference() {
         // The production engine must be bit-identical to the dense
         // reference engine: detection times, surviving machine states,
         // good state and counters, across incremental extensions and

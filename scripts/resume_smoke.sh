@@ -10,6 +10,10 @@
 #     lands on disk (if the circuit finishes before the kill, the run's own
 #     output is compared instead — small circuits are legitimately fast).
 #
+# Then the compaction path: `generate --no-compact` piped through
+# `compact` must reproduce `generate` byte for byte, and a budgeted
+# `compact` must exit 3 with a program no longer than its input.
+#
 # Usage: scripts/resume_smoke.sh [benchmark-name]   (default: s298)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -71,4 +75,23 @@ for dir in "$WORK/snaps1" "$WORK/snaps2"; do
     leftovers="$(find "$dir" -name '.*.tmp' | wc -l)"
     [ "$leftovers" -eq 0 ] || { echo "FAIL: $leftovers temp file(s) left in $dir"; exit 1; }
 done
+echo "== 3: generate --no-compact, then compact =="
+"$LIMSCAN" generate "$CIRCUIT" --no-compact -o "$WORK/uncompacted.txt" >/dev/null
+"$LIMSCAN" compact "$CIRCUIT" "$WORK/uncompacted.txt" -o "$WORK/recompacted.txt" >/dev/null
+cmp -s "$WORK/full.txt" "$WORK/recompacted.txt" \
+    || { echo "FAIL: generate --no-compact | compact differs from generate"; exit 1; }
+echo "ok: compacting the uncompacted program reproduces generate byte for byte"
+
+echo "== 4: budgeted compact (exit 3, best program so far) =="
+set +e
+"$LIMSCAN" compact "$CIRCUIT" "$WORK/uncompacted.txt" --max-vectors 1 \
+    -o "$WORK/stopped.txt" >/dev/null 2>&1
+status=$?
+set -e
+[ "$status" -eq 3 ] || { echo "FAIL: expected exit status 3, got $status"; exit 1; }
+vectors() { grep -c '^V ' "$1"; }
+[ "$(vectors "$WORK/stopped.txt")" -le "$(vectors "$WORK/uncompacted.txt")" ] \
+    || { echo "FAIL: the stopped compaction wrote a longer program than its input"; exit 1; }
+echo "ok: budgeted compact stopped with status 3 and kept a program no longer than its input"
+
 echo "OK: resume smoke passed for $CIRCUIT"

@@ -15,10 +15,12 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use limscan::benchmarks::{synthetic, SyntheticSpec};
-use limscan::compact::omission_observed;
+use limscan::compact::omission_pass_resumable;
 use limscan::obs::Metric;
 use limscan::sim::set_sim_threads;
-use limscan::{FaultList, Logic, MetricsCollector, ObsHandle, SeqFaultSim, TestSequence};
+use limscan::{
+    CancelToken, FaultList, Logic, MetricsCollector, ObsHandle, SeqFaultSim, TestSequence,
+};
 
 fn spec_strategy() -> impl Strategy<Value = SyntheticSpec> {
     (2usize..5, 3usize..8, 20usize..60, 1usize..4, any::<u64>()).prop_map(
@@ -53,7 +55,22 @@ fn observed_counters(spec: &SyntheticSpec, seq_seed: u64, threads: usize) -> Vec
     let mut sim = SeqFaultSim::new(&circuit, &faults);
     sim.set_obs(&obs);
     sim.extend(&seq);
-    omission_observed(&circuit, &faults, &seq, 1, &obs);
+    let targets: Vec<usize> = sim
+        .report()
+        .detected()
+        .iter()
+        .map(|id| id.index())
+        .collect();
+    omission_pass_resumable(
+        &circuit,
+        &faults,
+        &seq,
+        &targets,
+        0,
+        &obs,
+        &CancelToken::unlimited(),
+    )
+    .expect("an unlimited omission pass cannot stop early");
     set_sim_threads(None);
     collector.deterministic_counters()
 }

@@ -2,7 +2,7 @@
 //! public `limscan` API only.
 
 use limscan::{
-    benchmarks, restore_then_omit, CircuitExperiment, ExperimentConfig, FaultList, FlowConfig,
+    benchmarks, omission, restoration, CircuitExperiment, ExperimentConfig, FaultList, FlowConfig,
     GenerationFlow, Logic, ScanCircuit, SeqFaultSim, TranslationFlow,
 };
 
@@ -103,13 +103,17 @@ fn synthetic_profile_flow_has_paper_shape() {
 }
 
 #[test]
-fn restore_then_omit_helper_equals_staged_calls() {
+fn plain_compaction_calls_reproduce_the_flow_records() {
+    // The flow driver runs restoration and then omission pass by pass,
+    // with its own target set; the plain public calls must produce the
+    // same two records, bookkeeping included.
     let flow = GenerationFlow::run(&benchmarks::s27(), &FlowConfig::default())
         .expect("flow runs on a lint-clean circuit");
     let c = flow.scan.circuit();
-    let staged = &flow.omitted.sequence;
-    let helper = restore_then_omit(c, &flow.faults, &flow.generated.sequence, 2);
-    assert_eq!(&helper.sequence, staged);
+    let restored = restoration(c, &flow.faults, &flow.generated.sequence);
+    assert_eq!(restored, flow.restored);
+    let omitted = omission(c, &flow.faults, &restored.sequence, 2);
+    assert_eq!(omitted, flow.omitted);
 }
 
 #[test]

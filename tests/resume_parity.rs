@@ -15,8 +15,8 @@ use proptest::prelude::*;
 use limscan::benchmarks;
 use limscan::sim::set_sim_threads;
 use limscan::{
-    resume_flow, run_generation_resilient, run_translation_resilient, FlowConfig, FlowKind,
-    FlowOutcome, GenerationFlow, ResilientConfig, ResilientRun, RunBudget, SnapshotStore,
+    resume_flow, run_generation_resilient, run_translation_resilient, AnalysisOptions, FlowConfig,
+    FlowKind, FlowOutcome, GenerationFlow, ResilientConfig, ResilientRun, RunBudget, SnapshotStore,
     StopReason, TranslationFlow,
 };
 
@@ -147,6 +147,38 @@ fn s27_translation_resumes_bit_identically_from_every_boundary() {
             .expect("resilient flow")
             .into_complete();
     assert_eq!(full.sequence, classic.omitted.sequence);
+    assert_resume_parity(FlowKind::Translation, &circuit, &flow);
+}
+
+#[test]
+fn budgeted_driver_applies_static_analysis() {
+    // With analysis on, s298 loses its statically untestable faults and
+    // gets a two-tier target order. The budgeted driver must run that same
+    // experiment, not the unanalysed one.
+    let circuit = benchmarks::load("s298").expect("s298 profile");
+    let flow = FlowConfig {
+        analysis: AnalysisOptions::all(),
+        ..FlowConfig::default()
+    };
+    let classic = GenerationFlow::run(&circuit, &flow).expect("classic flow");
+    let full = run_generation_resilient(&circuit, &resilient(flow, RunBudget::unlimited()))
+        .expect("resilient flow")
+        .into_complete();
+    assert_eq!(full.sequence, classic.omitted.sequence);
+    assert_eq!(full.total_faults, classic.faults.len());
+}
+
+#[test]
+fn analysed_flows_resume_bit_identically_from_every_boundary() {
+    // Resume re-derives the pruned fault list and the target order, so the
+    // snapshot's fault indices and ATPG cursor keep their meaning.
+    let circuit = benchmarks::load("s298").expect("s298 profile");
+    let flow = FlowConfig {
+        analysis: AnalysisOptions::all(),
+        max_faults: 96,
+        ..FlowConfig::default()
+    };
+    assert_resume_parity(FlowKind::Generation, &circuit, &flow);
     assert_resume_parity(FlowKind::Translation, &circuit, &flow);
 }
 
