@@ -20,7 +20,7 @@ use limscan_compact::{
 use limscan_fault::FaultList;
 use limscan_netlist::{benchmarks, Circuit};
 use limscan_scan::ScanCircuit;
-use limscan_sim::{set_sim_threads, Logic, TestSequence};
+use limscan_sim::{set_sim_threads, Logic, TestSequence, LANES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -126,6 +126,42 @@ fn s298_class_differential_eight_seeds_one_and_many_threads() {
     // builds without weakening the equivalence claim.
     let faults = FaultList::collapsed(c).sample(48);
     differential_suite(c, &faults, 0..8, 30, &[1, 3]);
+    set_sim_threads(None);
+}
+
+/// Omission over a full fault list that spans at least three batches: a
+/// trial's verdict is the AND over its batches, so this is the case where
+/// the order in which the trial engine checks batches could show.
+#[test]
+fn multi_batch_omission_matches_the_oracle_one_and_three_threads() {
+    let _guard = thread_lock();
+    let circuit = benchmarks::load("s382").expect("s382 profile");
+    let sc = ScanCircuit::insert(&circuit);
+    let c = sc.circuit();
+    let faults = FaultList::collapsed(c);
+    let width = c.inputs().len();
+    for seed in 0..2u64 {
+        let seq = if seed % 2 == 0 {
+            random_sequence(width, 40, seed)
+        } else {
+            padded_sequence(width, 48, seed)
+        };
+        let o_ref = omission_reference(c, &faults, &seq, 2);
+        assert!(
+            o_ref.target_count > 2 * LANES,
+            "seed {seed}: {} targets fit in two batches",
+            o_ref.target_count
+        );
+        assert!(
+            o_ref.sequence.len() < seq.len(),
+            "seed {seed}: nothing omitted, the case decides no trial in favour"
+        );
+        for n in [1, 3] {
+            set_sim_threads(Some(n));
+            let o_inc = omission(c, &faults, &seq, 2);
+            assert_same(&format!("multi-batch omission[{n}t]"), seed, &o_inc, &o_ref);
+        }
+    }
     set_sim_threads(None);
 }
 
