@@ -16,7 +16,9 @@
 //! `--smoke` runs a reduced suite (small circuits, short sequences) meant
 //! for CI: it performs the same equivalence assertions but skips the large
 //! circuit, and writes its JSON next to the regular output name unless a
-//! path is given.
+//! path is given. One smoke circuit has more than `2 * LANES` targets, so
+//! the assertions cover trials that span several batches, where the order
+//! the trial engine checks batches in could show.
 //!
 //! Output defaults to `BENCH_compact.json` in the current directory.
 
@@ -28,7 +30,7 @@ use limscan::compact::{
     restoration_resumable, Compacted,
 };
 use limscan::obs::Metric;
-use limscan::sim::sim_threads;
+use limscan::sim::{sim_threads, LANES};
 use limscan::{
     benchmarks, CancelToken, FaultList, Logic, MetricsCollector, ObsHandle, ScanCircuit,
     SeqFaultSim, TestSequence,
@@ -41,7 +43,7 @@ use rand::{Rng, SeedableRng};
 /// dominates both engines' wall-clock.
 const SUITE: &[(&str, usize, usize)] =
     &[("s298", 160, 0), ("s1423", 128, 512), ("s5378", 160, 768)];
-const SMOKE_SUITE: &[(&str, usize, usize)] = &[("s27", 60, 0), ("s298", 48, 64)];
+const SMOKE_SUITE: &[(&str, usize, usize)] = &[("s27", 60, 0), ("s298", 48, 64), ("s382", 40, 0)];
 const OMISSION_PASSES: usize = 1;
 /// Wall-clock is best-of-`RUNS`; compaction is deterministic, so the
 /// outputs of repeated runs are asserted identical as a free sanity check.
@@ -85,6 +87,7 @@ fn main() {
     let threads = sim_threads();
 
     let mut rows = Vec::new();
+    let mut max_targets = 0;
     for &(name, vectors, max_faults) in suite {
         let circuit = benchmarks::load(name).expect("suite circuit");
         let sc = ScanCircuit::insert(&circuit);
@@ -99,6 +102,7 @@ fn main() {
             "{name}: omission engines diverged"
         );
         assert_eq!(o_ref.extra_detected, o_inc.extra_detected);
+        max_targets = max_targets.max(o_ref.target_count);
 
         let (t_rref, r_ref) = timed(|| restoration_reference(c, &faults, &seq));
         let (t_rinc, r_inc) = timed(|| restoration(c, &faults, &seq));
@@ -129,10 +133,11 @@ fn main() {
         };
 
         println!(
-            "{name}: faults={} vectors={vectors} | omission ref={t_oref:.3}s inc={t_oinc:.3}s \
+            "{name}: faults={} targets={} vectors={vectors} | omission ref={t_oref:.3}s inc={t_oinc:.3}s \
              ({:.2}x, len {} -> {}) | restoration ref={t_rref:.3}s inc={t_rinc:.3}s \
              ({:.2}x, len {} -> {})",
             faults.len(),
+            o_ref.target_count,
             t_oref / t_oinc,
             vectors,
             o_inc.sequence.len(),
@@ -146,6 +151,7 @@ fn main() {
                 "      \"circuit\": \"{}\",\n",
                 "      \"gates\": {},\n",
                 "      \"faults\": {},\n",
+                "      \"targets\": {},\n",
                 "      \"vectors\": {},\n",
                 "      \"omission\": {{\n",
                 "        \"reference_seconds\": {:.6},\n",
@@ -170,6 +176,7 @@ fn main() {
             name,
             c.gate_count(),
             faults.len(),
+            o_ref.target_count,
             vectors,
             t_oref,
             t_oinc,
@@ -190,6 +197,11 @@ fn main() {
             collector.counter(Metric::RestorationProbes),
         ));
     }
+
+    assert!(
+        !smoke || max_targets > 2 * LANES,
+        "no smoke circuit has trials spanning three batches ({max_targets} targets at most)"
+    );
 
     let json = format!(
         concat!(

@@ -18,8 +18,11 @@
 //!   engine. Each pass records one set of [`TrialCheckpoints`] (fault-free
 //!   trace, per-batch divergence snapshots, detection frontier) and
 //!   answers every candidate trial from the checkpoint at its time unit,
-//!   simulating forward only until every remaining target is re-detected
-//!   or provably lost (see `limscan_sim::checkpoint`). Independent
+//!   simulating each batch forward only until every open target lane is
+//!   re-detected or settled from the recording, or one is provably lost
+//!   (see `limscan_sim::checkpoint`). Batches are checked fail-first: every
+//!   trial starts at the batch that failed the last committed failing
+//!   trial, a hint the pass keeps on its coordinating thread. Independent
 //!   candidates fan out across threads (`set_sim_threads`), committed in
 //!   order so results are bit-identical for every thread count.
 //! * [`omission_reference`] — the original implementation: a cloned
@@ -143,6 +146,11 @@ fn omission_pass(
     let mut prefix = ck.initial_prefix();
     let mut changed = false;
     let threads = sim_threads().max(1);
+    // Fail-first batch order: every trial of a wave starts at the batch
+    // that failed the last committed failing trial. Kept here, on the
+    // coordinating thread, so each trial's work is deterministic for a
+    // given thread count.
+    let mut first_batch = 0usize;
 
     let mut o = 0usize;
     while o < len {
@@ -163,9 +171,9 @@ fn omission_pass(
         // in-order commit below keeps only verdicts whose assumption
         // held, so the keep mask cannot depend on scheduling.
         let wave = threads.min(len - o);
-        let mut verdicts: Vec<Option<bool>> = if wave <= 1 {
+        let mut verdicts: Vec<Option<Result<(), usize>>> = if wave <= 1 {
             let _trial = pass_span.child_indexed(SpanKind::Trial, "trial", o as u64);
-            vec![checked_trial(&ck, &prefix, o)]
+            vec![checked_trial(&ck, &prefix, o, first_batch)]
         } else {
             let next = AtomicUsize::new(0);
             let mut verdicts = vec![None; wave];
@@ -186,7 +194,7 @@ fn omission_pass(
                                 }
                                 let _trial =
                                     pass_obs.span_indexed(SpanKind::Trial, "trial", (o + i) as u64);
-                                out.push((i, checked_trial(ck, &p, o + i)));
+                                out.push((i, checked_trial(ck, &p, o + i, first_batch)));
                             }
                             out
                         })
@@ -213,20 +221,27 @@ fn omission_pass(
                 let c = o + i;
                 pass_obs.degrade("omission-trial", c as u64);
                 pass_obs.counter(Metric::DegradedTrials, 1);
-                *v = Some(reference_trial(circuit, targets, current, &keep, c));
+                // The oracle names no failing batch: keep the hint.
+                *v = Some(if reference_trial(circuit, targets, current, &keep, c) {
+                    Ok(())
+                } else {
+                    Err(first_batch)
+                });
             }
         }
         let mut omitted = false;
         for (i, v) in verdicts.iter().enumerate() {
             let c = o + i;
-            let ok = v.expect("every lost verdict was recomputed above");
-            if ok {
-                keep[c] = false;
-                pass_obs.counter(Metric::TrialsCommitted, 1);
-                changed = true;
-                o = c + 1;
-                omitted = true;
-                break; // later verdicts assumed `c` kept — invalid now
+            match v.expect("every lost verdict was recomputed above") {
+                Ok(()) => {
+                    keep[c] = false;
+                    pass_obs.counter(Metric::TrialsCommitted, 1);
+                    changed = true;
+                    o = c + 1;
+                    omitted = true;
+                    break; // later verdicts assumed `c` kept — invalid now
+                }
+                Err(b) => first_batch = b,
             }
             ck.advance(&mut prefix, c);
         }
@@ -238,17 +253,18 @@ fn omission_pass(
     Ok((current.select(&keep), changed))
 }
 
-/// A checkpointed trial with panic confinement: `None` means the trial
-/// panicked (worker bug or injected fault) and its verdict must be
-/// recomputed on the oracle path.
+/// A checkpointed trial, checking batch `first_batch` first, with panic
+/// confinement: `None` means the trial panicked (worker bug or injected
+/// fault) and its verdict must be recomputed on the oracle path.
 fn checked_trial(
     ck: &TrialCheckpoints<'_>,
     prefix: &PrefixState,
     candidate: usize,
-) -> Option<bool> {
+    first_batch: usize,
+) -> Option<Result<(), usize>> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         limscan_sim::fail_inject::panic_trial_point();
-        ck.trial(prefix, candidate)
+        ck.trial(prefix, candidate, first_batch)
     }))
     .ok()
 }
@@ -283,11 +299,12 @@ fn reference_trial(
 /// Returns the shortened sequence and whether the pass changed anything.
 /// The pass emits one `omission-pass` span, a `trial` span per candidate
 /// decision, and the trial/checkpoint counters. Trial spans run on the
-/// speculative-wave worker threads, so their order (and the
-/// attempted/early-exit counts) is only deterministic for a
-/// single-threaded run; committed omissions are counted on the
-/// coordinating thread and are deterministic for any thread count. Worker
-/// panics are confined to their trial and recomputed on the oracle path.
+/// speculative-wave worker threads, so their order is only deterministic
+/// for a single-threaded run; the attempted/early-exit/checkpoint counts
+/// repeat exactly at a given thread count, and committed omissions are
+/// counted on the coordinating thread and are deterministic for any
+/// thread count. Worker panics are confined to their trial and recomputed
+/// on the oracle path.
 ///
 /// # Errors
 ///

@@ -48,7 +48,8 @@ impl SpanKind {
 /// counters whose totals are guaranteed bit-identical for any
 /// `set_sim_threads` setting — the speculative-wave counters
 /// (`TrialsAttempted`, `TrialsEarlyExited`, `CheckpointHits`) legitimately
-/// vary with thread count because discarded speculative trials still run.
+/// vary with thread count because discarded speculative trials still run,
+/// but repeat exactly from run to run at one thread count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Metric {
     /// Time steps simulated by an observed fault-simulation pass.
@@ -62,9 +63,14 @@ pub enum Metric {
     TrialsAttempted,
     /// Omission trials committed (vector actually dropped).
     TrialsCommitted,
-    /// Trials decided early because every lane re-detected its fault.
+    /// Trial batches settled by simulated detection: the batch's last
+    /// open lane re-detected its fault in the simulated tail. Counted per
+    /// batch, so one trial can add several.
     TrialsEarlyExited,
-    /// Trials decided by a checkpoint convergence snapshot.
+    /// Trial batches settled from the recording: at a convergence snapshot,
+    /// the batch's last open lanes were back on a recorded future that
+    /// detects them, or an open lane was back on one that does not (the
+    /// trial fails). Counted per batch, like `TrialsEarlyExited`.
     CheckpointHits,
     /// Restoration episodes executed.
     RestorationEpisodes,

@@ -6,19 +6,30 @@
 //! re-simulation per candidate. [`TrialCheckpoints`] records one pass over
 //! the sequence — the fault-free trace, every batch's sparse flip-flop
 //! divergence at checkpointed time units, and the per-time-unit primary-
-//! output conflict masks — and then answers each trial with two early
-//! exits:
+//! output conflict masks — and then decides each trial batch by batch,
+//! lane by lane. A lane is *settled* once its verdict is known, and a
+//! batch is decided by one of two exits:
 //!
-//! * **early success** — the trial stops as soon as every remaining target
-//!   lane has produced a conflict;
-//! * **convergence** — scan circuits re-synchronise quickly (a complete
-//!   scan-in overwrites the whole chain), so a trial's machine state
-//!   usually re-joins the recorded trajectory within a few vectors. Once
-//!   the fault-free state *and* every lane's flip-flop divergence equal
-//!   the recording at an aligned time unit, the trial's future is the
-//!   recording's future: the suffix-OR of the recorded conflict masks
-//!   (`future_conflicts`) then decides the trial — success if every
-//!   still-undetected lane conflicts again later, provably lost otherwise.
+//! * **early success** — every lane the prefix left undetected produced a
+//!   conflict in the simulated tail;
+//! * **per-lane convergence** — scan circuits re-synchronise quickly (a
+//!   complete scan-in overwrites the whole chain), so a lane's machine
+//!   usually re-joins the recorded trajectory within a few vectors. Lanes
+//!   are independent machines: once the fault-free state *and* one lane's
+//!   flip-flop word equal the recording at an aligned time unit, that
+//!   lane's future is the recording's future. The suffix-OR of the
+//!   recorded conflict masks (`future_conflicts`) then settles it — a
+//!   lane that conflicts again later will be detected; one that does not
+//!   is provably lost and fails the trial at once. The batch succeeds as
+//!   soon as no undetected lane is left unsettled, even while detected or
+//!   settled lanes are still off the recording.
+//!
+//! A trial's verdict is the AND over its batches, so the order in which
+//! batches are checked changes its cost, never its outcome.
+//! [`TrialCheckpoints::trial`] starts at a caller-chosen batch and names
+//! the batch that failed it; the omission pass feeds that back as the next
+//! trials' first batch (fail-first order), so a failing trial usually
+//! stops after one batch.
 //!
 //! The alignment is sound because omission only ever drops vectors to the
 //! *left* of the trial point: the vectors applied after a trial at `t` are
@@ -85,8 +96,6 @@ struct TrialScratch {
     next: Vec<Logic>,
     /// Intra-gate temp slots for the scalar flat evaluation.
     tmp: Vec<Logic>,
-    /// Sort buffer for divergence-snapshot comparisons.
-    sorted: Vec<(u32, Wide)>,
 }
 
 thread_local! {
@@ -179,6 +188,17 @@ impl<'a> TrialCheckpoints<'a> {
     /// Costs one un-truncated extension (no per-batch early exit — trials
     /// need the complete trajectory), paid once per omission pass.
     pub fn record(circuit: &'a Circuit, targets: &'a FaultList, seq: &'a TestSequence) -> Self {
+        Self::record_with_budget(circuit, targets, seq, SNAPSHOT_BUDGET)
+    }
+
+    /// [`record`](Self::record) with an explicit snapshot budget in bytes,
+    /// so tests can force a snapshot stride above 1 on small circuits.
+    pub(crate) fn record_with_budget(
+        circuit: &'a Circuit,
+        targets: &'a FaultList,
+        seq: &'a TestSequence,
+        snapshot_budget: usize,
+    ) -> Self {
         assert_eq!(
             seq.width(),
             circuit.inputs().len(),
@@ -212,7 +232,7 @@ impl<'a> TrialCheckpoints<'a> {
             .saturating_mul(n_ff)
             .saturating_mul(n_batches.max(1))
             .saturating_mul(entry);
-        let stride = worst.div_ceil(SNAPSHOT_BUDGET).max(1);
+        let stride = worst.div_ceil(snapshot_budget).max(1);
 
         let mut batches = Vec::with_capacity(n_batches);
         with_kernel::<LANE_WORDS, _>(|ks| {
@@ -397,14 +417,20 @@ impl<'a> TrialCheckpoints<'a> {
     /// Decides the omission of original vector `skip`: does applying the
     /// original vectors `skip+1..len` after `prefix` detect every target?
     ///
+    /// Batches are checked from batch `first` on, wrapping around; the
+    /// first batch that loses a target ends the trial. Returns `Ok(())`
+    /// when every target stays detected and `Err(b)` naming the batch `b`
+    /// that lost one. The order changes which failing batch is named and
+    /// what the trial costs, never whether it fails.
+    ///
     /// Exact — bit-identical to simulating the shortened sequence from
     /// scratch — but usually far cheaper thanks to the early-success and
-    /// convergence exits described in the module docs.
-    pub fn trial(&self, prefix: &PrefixState, skip: usize) -> bool {
+    /// per-lane convergence exits described in the module docs.
+    pub fn trial(&self, prefix: &PrefixState, skip: usize, first: usize) -> Result<(), usize> {
         debug_assert!(skip < self.len);
         self.obs.counter(Metric::TrialsAttempted, 1);
         if prefix.n_detected == self.total_lanes {
-            return true; // the prefix alone already covers every target
+            return Ok(()); // the prefix alone already covers every target
         }
         let tail_start = skip + 1;
         SCRATCH.with(|cell| {
@@ -443,12 +469,16 @@ impl<'a> TrialCheckpoints<'a> {
                 fresh += 1;
             }
 
-            // --- Faulty batches, one at a time; the first lost batch sinks
-            // the trial.
+            // --- Faulty batches, one at a time from `first`; the first
+            // lost batch sinks the trial.
             with_kernel::<LANE_WORDS, _>(|ks| {
-                for (b, rec) in self.batches.iter().enumerate() {
-                    let mut detected = prefix.detected[b];
-                    if detected == rec.full_mask {
+                let n = self.batches.len();
+                for b in (first..first + n).map(|i| i % n) {
+                    let rec = &self.batches[b];
+                    // Lanes whose verdict is known: detected so far, or
+                    // back on a recorded future that detects them.
+                    let mut settled = prefix.detected[b];
+                    if settled == rec.full_mask {
                         continue;
                     }
                     let mut stepper = BatchStepper::begin(
@@ -460,7 +490,7 @@ impl<'a> TrialCheckpoints<'a> {
                         &prefix.good,
                         |ff| prefix.lanes[b][ff],
                     );
-                    let mut verdict = None;
+                    let mut holds = false;
                     for u in tail_start..self.len {
                         let (row, next): (&[Logic], &[Logic]) = if u >= g_conv {
                             (self.good_row(u), self.good_state_before(u + 1))
@@ -471,41 +501,176 @@ impl<'a> TrialCheckpoints<'a> {
                                 &sc.states[(i + 1) * n_ff..(i + 2) * n_ff],
                             )
                         };
-                        mask::or_assign(&mut detected, &stepper.step(row, next));
-                        if detected == rec.full_mask {
-                            verdict = Some(true); // every lane re-detected
+                        mask::or_assign(&mut settled, &stepper.step(row, next));
+                        if settled == rec.full_mask {
+                            holds = true; // the last open lane re-detected
                             self.obs.counter(Metric::TrialsEarlyExited, 1);
                             break;
                         }
                         let t1 = u + 1;
                         if t1 >= g_conv && t1 % self.stride == 0 {
-                            let snap = &rec.snapshots[t1 / self.stride];
-                            if stepper.ff_diff().len() == snap.len() {
-                                sc.sorted.clear();
-                                sc.sorted.extend_from_slice(stepper.ff_diff());
-                                sc.sorted.sort_unstable_by_key(|e| e.0);
-                                if sc.sorted == *snap {
-                                    // Converged: the future equals the
-                                    // recording's, which detects exactly
-                                    // the `future_conflicts` lanes.
-                                    let undetected = mask::and_not(&rec.full_mask, &detected);
-                                    verdict = Some(!mask::any(&mask::and_not(
-                                        &undetected,
-                                        &rec.future_conflicts[t1],
-                                    )));
-                                    self.obs.counter(Metric::CheckpointHits, 1);
-                                    break;
-                                }
+                            // Open lanes back on the recorded trajectory
+                            // have the recording's future.
+                            let off = stepper.lanes_off(
+                                &rec.snapshots[t1 / self.stride],
+                                self.good_state_before(t1),
+                            );
+                            let open = mask::and_not(&rec.full_mask, &settled);
+                            let back = mask::and_not(&open, &off);
+                            let lost = mask::and_not(&back, &rec.future_conflicts[t1]);
+                            if mask::any(&lost) {
+                                self.obs.counter(Metric::CheckpointHits, 1);
+                                break;
+                            }
+                            mask::or_assign(&mut settled, &back);
+                            if settled == rec.full_mask {
+                                holds = true;
+                                self.obs.counter(Metric::CheckpointHits, 1);
+                                break;
                             }
                         }
                     }
                     stepper.finish();
-                    if !verdict.unwrap_or(false) {
-                        return false;
+                    if !holds {
+                        return Err(b);
                     }
                 }
-                true
+                Ok(())
             })
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SeqFaultSim;
+    use limscan_netlist::benchmarks;
+    use limscan_scan::ScanCircuit;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Scan-inserted `name`, a random sequence of `len` vectors (with
+    /// `padded`, also all-zero and repeated vectors) and, as targets, the
+    /// faults that sequence detects.
+    fn case(name: &str, len: usize, seed: u64, padded: bool) -> (Circuit, FaultList, TestSequence) {
+        let circuit = ScanCircuit::insert(&benchmarks::load(name).expect("embedded benchmark"))
+            .circuit()
+            .clone();
+        let width = circuit.inputs().len();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut seq = TestSequence::new(width);
+        while seq.len() < len {
+            match if padded { rng.gen_range(0..4u8) } else { 3 } {
+                0 => seq.push(vec![Logic::Zero; width]),
+                1 if !seq.is_empty() => seq.push(seq.vector(seq.len() - 1).to_vec()),
+                _ => seq.push((0..width).map(|_| Logic::from_bool(rng.gen())).collect()),
+            }
+        }
+        let all = FaultList::collapsed(&circuit);
+        let report = SeqFaultSim::run(&circuit, &all, &seq);
+        let targets = FaultList::from_faults(report.detected().iter().map(|&id| all.fault(id)));
+        (circuit, targets, seq)
+    }
+
+    /// Checks `trial(prefix, c, first)` for every candidate `c` and every
+    /// `first` against a from-scratch run of the kept prefix plus the tail.
+    /// With `greedy`, the prefix drops every candidate whose trial held, as
+    /// an omission pass does; otherwise it keeps every vector. A failing
+    /// trial must name the first batch, in order from `first`, that the
+    /// from-scratch run shows losing a target. Returns how many candidates
+    /// held and how many failed.
+    fn check_every_trial(ck: &TrialCheckpoints<'_>, greedy: bool) -> (usize, usize) {
+        let (circuit, targets, seq) = (ck.circuit, ck.targets, ck.seq);
+        let ids: Vec<FaultId> = targets.ids().collect();
+        let n = ck.batches.len();
+        let (mut held, mut failed) = (0, 0);
+        let mut keep = vec![true; ck.len()];
+        let mut prefix = ck.initial_prefix();
+        for c in 0..ck.len() {
+            keep[c] = false;
+            let report = SeqFaultSim::run(circuit, targets, &seq.select(&keep));
+            let losing: Vec<bool> = ids
+                .chunks(LANES)
+                .map(|batch| batch.iter().any(|&id| !report.is_detected(id)))
+                .collect();
+            for first in 0..n {
+                let expected = (first..first + n).map(|i| i % n).find(|&b| losing[b]);
+                assert_eq!(
+                    ck.trial(&prefix, c, first),
+                    expected.map_or(Ok(()), Err),
+                    "stride {}: candidate {c}, first batch {first}",
+                    ck.stride
+                );
+            }
+            let lost = losing.contains(&true);
+            if lost {
+                failed += 1;
+            } else {
+                held += 1;
+            }
+            keep[c] = lost || !greedy;
+            if keep[c] {
+                ck.advance(&mut prefix, c);
+            }
+        }
+        (held, failed)
+    }
+
+    /// Over `2 * LANES` targets: every trial checks three batches, in
+    /// every order.
+    #[test]
+    fn multi_batch_trials_equal_from_scratch_runs_at_stride_one() {
+        let (circuit, targets, seq) = case("s382", 40, 0, false);
+        let ck = TrialCheckpoints::record(&circuit, &targets, &seq);
+        assert_eq!((ck.stride, ck.batches.len()), (1, 3));
+        for greedy in [false, true] {
+            let (held, failed) = check_every_trial(&ck, greedy);
+            assert!(
+                held > 0 && failed > 0,
+                "greedy {greedy}: {held} held, {failed} failed"
+            );
+        }
+    }
+
+    /// Above stride 1, lanes can only settle at snapshot points.
+    #[test]
+    fn multi_batch_trials_equal_from_scratch_runs_above_stride_one() {
+        let (circuit, targets, seq) = case("s382", 40, 0, false);
+        let ck = TrialCheckpoints::record_with_budget(&circuit, &targets, &seq, 64 << 10);
+        assert!(
+            ck.stride > 1 && ck.stride < ck.len() / 4,
+            "stride {}",
+            ck.stride
+        );
+        assert_eq!(ck.batches.len(), 3);
+        for greedy in [false, true] {
+            let (held, failed) = check_every_trial(&ck, greedy);
+            assert!(
+                held > 0 && failed > 0,
+                "greedy {greedy}: {held} held, {failed} failed"
+            );
+        }
+    }
+
+    /// Three flip-flops re-join the recording within a vector or two, so
+    /// s27 exercises the convergence exit on almost every trial, before
+    /// and after the fault-free state converges, at stride 1 and 7. The
+    /// s386 sequence has a lane that is back on the fault-free machine at a
+    /// flip-flop where the recorded lane is not.
+    #[test]
+    fn trials_equal_from_scratch_runs_where_lanes_converge_early() {
+        let mut cases: Vec<_> = (0..4)
+            .flat_map(|seed| [case("s27", 30, seed, false), case("s27", 30, seed, true)])
+            .collect();
+        cases.push(case("s386", 40, 6, false));
+        for (circuit, targets, seq) in &cases {
+            for budget in [SNAPSHOT_BUDGET, 1 << 10] {
+                let ck = TrialCheckpoints::record_with_budget(circuit, targets, seq, budget);
+                for greedy in [false, true] {
+                    check_every_trial(&ck, greedy);
+                }
+            }
+        }
     }
 }

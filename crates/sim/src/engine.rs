@@ -1011,6 +1011,30 @@ impl<'a, 'b, const W: usize> BatchStepper<'a, 'b, W> {
         &self.s.ff_diff
     }
 
+    /// The batch lanes whose machine state after the last
+    /// [`step`](Self::step) differs from the recorded sparse state `snap`
+    /// (sorted by flip-flop index). Both sides are relative to the same
+    /// fault-free state `good`: a flip-flop without an entry carries
+    /// `broadcast(good[ff])`. X counts as different from 0 and 1.
+    pub(crate) fn lanes_off(&self, snap: &[(u32, WideWord<W>)], good: &[Logic]) -> [u64; W] {
+        let s = &*self.s;
+        let mut off = [0u64; W];
+        for &(ffi, word) in &s.ff_diff {
+            let recorded = match snap.binary_search_by_key(&ffi, |e| e.0) {
+                Ok(i) => snap[i].1,
+                Err(_) => WideWord::broadcast(good[ffi as usize]),
+            };
+            mask::or_assign(&mut off, &word.diff_mask(&recorded));
+        }
+        for &(ffi, word) in snap {
+            if !s.ff_in_diff[ffi as usize] {
+                let here = WideWord::broadcast(good[ffi as usize]);
+                mask::or_assign(&mut off, &word.diff_mask(&here));
+            }
+        }
+        mask::and(&off, &self.full_mask)
+    }
+
     /// Writes the batch's absolute machine state — the fault-free
     /// `end_state` overlaid with the sparse divergences — into
     /// [`KernelScratch::final_states`].

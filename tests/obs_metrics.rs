@@ -8,19 +8,32 @@
 //! checkpoint hits) and gauges legitimately vary with thread fan-out.
 //! This property pins the first class: on random synthetic circuits, the
 //! collector totals are bit-identical from 1 through 8 simulation
-//! threads.
+//! threads. The second class must still repeat from run to run at one
+//! thread count.
+//!
+//! `set_sim_threads` is process-global, so every test here holds
+//! [`thread_lock`] while it runs observed passes.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use proptest::prelude::*;
 
-use limscan::benchmarks::{synthetic, SyntheticSpec};
+use limscan::benchmarks::{self, synthetic, SyntheticSpec};
 use limscan::compact::omission_pass_resumable;
 use limscan::obs::Metric;
-use limscan::sim::set_sim_threads;
+use limscan::sim::{set_sim_threads, LANES};
 use limscan::{
-    CancelToken, FaultList, Logic, MetricsCollector, ObsHandle, SeqFaultSim, TestSequence,
+    CancelToken, FaultList, Logic, MetricsCollector, ObsHandle, ScanCircuit, SeqFaultSim,
+    TestSequence,
 };
+
+/// Serialises the tests around the process-global simulation thread count.
+fn thread_lock() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn spec_strategy() -> impl Strategy<Value = SyntheticSpec> {
     (2usize..5, 3usize..8, 20usize..60, 1usize..4, any::<u64>()).prop_map(
@@ -49,6 +62,7 @@ fn observed_counters(spec: &SyntheticSpec, seq_seed: u64, threads: usize) -> Vec
     let circuit = synthetic(spec);
     let faults = FaultList::collapsed(&circuit);
     let seq = random_sequence(circuit.inputs().len(), 48, seq_seed);
+    let _guard = thread_lock();
     set_sim_threads(Some(threads));
     let collector = MetricsCollector::default();
     let obs = ObsHandle::from_sink(Arc::new(collector.clone()));
@@ -102,5 +116,53 @@ proptest! {
                 threads
             );
         }
+    }
+}
+
+/// The speculative-wave counters vary with the thread count, but not from
+/// run to run at one count: every trial of a wave checks its batches from
+/// the same first batch, chosen on the coordinating thread, so worker
+/// timing cannot change which batches a trial simulates.
+#[test]
+fn trial_counters_repeat_at_a_fixed_thread_count() {
+    let sc = ScanCircuit::insert(&benchmarks::load("s382").expect("s382 profile"));
+    let c = sc.circuit();
+    let faults = FaultList::collapsed(c);
+    // Long enough that failing trials lose targets in different batches,
+    // so the first batch a trial checks matters.
+    let seq = random_sequence(c.inputs().len(), 80, 0);
+    let targets: Vec<usize> = SeqFaultSim::run(c, &faults, &seq)
+        .detected()
+        .iter()
+        .map(|id| id.index())
+        .collect();
+    assert!(targets.len() > 2 * LANES, "{} targets", targets.len());
+    let speculative = [
+        Metric::TrialsAttempted,
+        Metric::TrialsEarlyExited,
+        Metric::CheckpointHits,
+    ];
+    let run = || {
+        let _guard = thread_lock();
+        set_sim_threads(Some(4));
+        let collector = MetricsCollector::default();
+        let obs = ObsHandle::from_sink(Arc::new(collector.clone()));
+        omission_pass_resumable(
+            c,
+            &faults,
+            &seq,
+            &targets,
+            0,
+            &obs,
+            &CancelToken::unlimited(),
+        )
+        .expect("an unlimited omission pass cannot stop early");
+        set_sim_threads(None);
+        speculative.map(|m| collector.counter(m))
+    };
+    let first = run();
+    assert!(first.iter().all(|&n| n > 0), "{speculative:?} = {first:?}");
+    for _ in 0..2 {
+        assert_eq!(run(), first, "{speculative:?} changed between runs");
     }
 }
