@@ -4,15 +4,9 @@
 //!
 //! * `baseline` — no `set_obs` call at all (the seed behaviour);
 //! * `noop_handle` — instrumentation reached with a no-op handle attached,
-//!   which is the cost every un-traced run pays when the `trace` feature
-//!   is compiled in (one branch per emission site);
+//!   which is the cost every un-traced run pays (one branch per emission
+//!   site);
 //! * `collector` — a live in-memory collector, the full emission cost.
-//!
-//! Compile-time A/B: run this bench once as `cargo bench -p limscan-bench
-//! --bench obs` (trace compiled out — `noop_handle` and `baseline` must be
-//! indistinguishable) and once with `--features trace` (the `noop_handle`
-//! regression budget is <1% over `baseline`). `scripts/obs_overhead.sh`
-//! automates the same comparison on the `faultsim_bench` binary.
 
 use std::sync::Arc;
 

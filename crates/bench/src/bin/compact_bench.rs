@@ -114,8 +114,8 @@ fn main() {
 
         // One extra observed run of each incremental engine (the single
         // omission pass and the restoration the flow driver runs) feeds the
-        // `metrics` block. Untimed, and inert when `trace` is compiled out
-        // (every counter reads back 0).
+        // `metrics` block. Untimed; its counters must be live, so a dead
+        // block fails the run instead of being written.
         let collector = {
             let collector = MetricsCollector::default();
             let obs = ObsHandle::from_sink(Arc::new(collector.clone()));
@@ -131,6 +131,11 @@ fn main() {
                 .expect("an unlimited restoration cannot stop early");
             collector
         };
+        assert!(
+            collector.counter(Metric::TrialsAttempted) > 0
+                && collector.counter(Metric::RestorationEpisodes) > 0,
+            "{name}: the observed compaction run recorded no trials or episodes"
+        );
 
         println!(
             "{name}: faults={} targets={} vectors={vectors} | omission ref={t_oref:.3}s inc={t_oinc:.3}s \
@@ -167,7 +172,7 @@ fn main() {
                 "        \"final_len\": {},\n",
                 "        \"extra_detected\": {}\n",
                 "      }},\n",
-                "      \"metrics\": {{\"trace_enabled\": {}, \"trials_attempted\": {}, ",
+                "      \"metrics\": {{\"trials_attempted\": {}, ",
                 "\"trials_committed\": {}, \"trials_early_exited\": {}, ",
                 "\"checkpoint_hits\": {}, \"restoration_episodes\": {}, ",
                 "\"restoration_probes\": {}}}\n",
@@ -188,7 +193,6 @@ fn main() {
             t_rref / t_rinc,
             r_inc.sequence.len(),
             r_inc.extra_detected,
-            !collector.is_empty(),
             collector.counter(Metric::TrialsAttempted),
             collector.counter(Metric::TrialsCommitted),
             collector.counter(Metric::TrialsEarlyExited),

@@ -151,8 +151,8 @@ fn main() {
         assert_eq!(d_ref, d_mt, "{name}: multi-thread engine diverged");
 
         // One extra single-thread extension with a live collector feeds the
-        // `metrics` block. Untimed, and inert when `trace` is compiled out
-        // (every counter reads back 0).
+        // `metrics` block. Untimed; its counters must be live, so a dead
+        // block fails the run instead of being written.
         let collector = {
             let collector = MetricsCollector::default();
             let obs = ObsHandle::from_sink(Arc::new(collector.clone()));
@@ -163,6 +163,11 @@ fn main() {
             set_sim_threads(None);
             collector
         };
+        assert!(
+            collector.counter(Metric::VectorsSimulated) > 0
+                && collector.counter(Metric::BatchesSimulated) > 0,
+            "{name}: the observed extension recorded no vectors or batches"
+        );
 
         let vps = |t: f64| vectors as f64 / t;
         println!(
@@ -186,7 +191,7 @@ fn main() {
                 "      \"reference\": {{\"seconds\": {:.6}, \"vectors_per_sec\": {:.1}}},\n",
                 "      \"event_1thread\": {{\"seconds\": {:.6}, \"vectors_per_sec\": {:.1}, \"speedup\": {:.3}}},\n",
                 "      \"event_auto\": {{\"seconds\": {:.6}, \"vectors_per_sec\": {:.1}, \"speedup\": {:.3}}},\n",
-                "      \"metrics\": {{\"trace_enabled\": {}, \"vectors_simulated\": {}, ",
+                "      \"metrics\": {{\"vectors_simulated\": {}, ",
                 "\"batches_simulated\": {}, \"faults_detected\": {}, \"scratch_bytes_peak\": {}}}\n",
                 "    }}"
             ),
@@ -203,7 +208,6 @@ fn main() {
             t_mt,
             vps(t_mt),
             t_ref / t_mt,
-            !collector.is_empty(),
             collector.counter(Metric::VectorsSimulated),
             collector.counter(Metric::BatchesSimulated),
             collector.counter(Metric::FaultsDetected),

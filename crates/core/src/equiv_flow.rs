@@ -42,8 +42,7 @@ pub struct EquivFlow {
     /// The checker's verdict: equivalent with coverage statistics, or a
     /// minimized, scalar-confirmed counterexample.
     pub verdict: EquivVerdict,
-    /// Per-phase timing and counter report (inert unless the flow's
-    /// [`FlowConfig::obs`] handle is enabled).
+    /// Per-phase timing and counter report.
     pub report: FlowReport,
 }
 
@@ -151,8 +150,7 @@ impl EquivFlow {
 pub struct DifferentialFlow {
     /// The per-fault detection comparison.
     pub diff: DetectionDiff,
-    /// Per-phase timing and counter report (inert unless the flow's
-    /// [`FlowConfig::obs`] handle is enabled).
+    /// Per-phase timing and counter report.
     pub report: FlowReport,
 }
 

@@ -354,8 +354,7 @@ pub struct GenerationFlow {
     /// After vector omission applied to `T_restor` (`T_omit`).
     pub omitted: Compacted,
     /// Phase timings, metric totals, and the detection-profile curve of
-    /// the generated sequence. Empty (with `enabled = false`) unless the
-    /// `trace` feature is on.
+    /// the generated sequence.
     pub report: FlowReport,
 }
 
@@ -397,9 +396,7 @@ impl GenerationFlow {
     fn from_driver(run: Produced) -> Self {
         let generated = run.generated.expect("a run from scratch generates");
         let mut report = run.report;
-        if report.enabled {
-            report.detection_profile = generated.report.detection_profile();
-        }
+        report.detection_profile = generated.report.detection_profile();
         GenerationFlow {
             scan: run.scan,
             faults: run.faults,
@@ -451,8 +448,7 @@ pub struct TranslationFlow {
     /// After vector omission.
     pub omitted: Compacted,
     /// Phase timings, metric totals, and the detection-profile curve of
-    /// the translated sequence before compaction. Empty (with
-    /// `enabled = false`) unless the `trace` feature is on.
+    /// the translated sequence before compaction.
     pub report: FlowReport,
 }
 
@@ -487,18 +483,14 @@ impl TranslationFlow {
     }
 
     /// The record of a run from scratch. The detection profile is
-    /// re-derived from an unobserved simulation of the translated sequence
-    /// (only when tracing is live): the event log cannot provide it,
-    /// because compaction re-simulates prefixes and would double-count
-    /// detections.
+    /// re-derived from an unobserved simulation of the translated sequence:
+    /// the event log cannot provide it, because compaction re-simulates
+    /// prefixes and would double-count detections.
     fn from_driver(run: Produced) -> Self {
         let front = run.translated.expect("a run from scratch translates");
         let mut report = run.report;
-        if report.enabled {
-            report.detection_profile =
-                SeqFaultSim::run(run.scan.circuit(), &run.faults, &front.sequence)
-                    .detection_profile();
-        }
+        report.detection_profile =
+            SeqFaultSim::run(run.scan.circuit(), &run.faults, &front.sequence).detection_profile();
         TranslationFlow {
             scan: run.scan,
             faults: run.faults,

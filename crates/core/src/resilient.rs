@@ -93,7 +93,7 @@ pub struct ResilientRun {
     /// Size of the flow's target fault list.
     pub total_faults: usize,
     /// Phase timings and metric totals for *this process's* share of the
-    /// run. Empty unless the `trace` feature is on.
+    /// run.
     pub report: FlowReport,
 }
 

@@ -29,12 +29,10 @@ fn assert_no_sim_work(collector: &MetricsCollector, context: &str) {
         0,
         "{context}: a refused flow must not have simulated anything"
     );
-    if cfg!(feature = "trace") {
-        assert!(
-            !collector.is_empty(),
-            "{context}: the flow span itself should still be traced"
-        );
-    }
+    assert!(
+        !collector.is_empty(),
+        "{context}: the flow span itself should still be traced"
+    );
 }
 
 const COMB_SRC: &str = "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n";
@@ -119,10 +117,8 @@ fn successful_flow_does_simulate() {
     // machinery sees plenty of simulation events on a healthy run.
     let (config, collector) = observed_config();
     GenerationFlow::run(&benchmarks::s27(), &config).expect("s27 is clean");
-    if cfg!(feature = "trace") {
-        assert!(
-            collector.sim_event_count() > 0,
-            "a successful flow must record simulation work"
-        );
-    }
+    assert!(
+        collector.sim_event_count() > 0,
+        "a successful flow must record simulation work"
+    );
 }

@@ -7,9 +7,7 @@
 //! that can absorb a collector's state and merge with other totals.
 //!
 //! Unlike the collector it holds no event log and no locks, so totals can
-//! be persisted, summed per tenant, and serialized into wire responses
-//! without caring whether the `trace` feature is on (collectors read as
-//! all-zero when it is off, and totals stay zero accordingly).
+//! be persisted, summed per tenant, and serialized into wire responses.
 
 use crate::collector::MetricsCollector;
 use crate::event::Metric;
@@ -79,8 +77,7 @@ impl MetricTotals {
         self.degrades
     }
 
-    /// True when every counter, gauge, and degrade total is zero — always
-    /// the case when the `trace` feature is off.
+    /// True when every counter, gauge, and degrade total is zero.
     #[must_use]
     pub fn is_zero(&self) -> bool {
         self.degrades == 0
@@ -120,7 +117,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(feature = "trace"), ignore = "requires the trace feature")]
     fn absorb_and_merge_sum_counters_and_max_gauges() {
         use crate::event::SpanKind;
         use crate::handle::ObsHandle;

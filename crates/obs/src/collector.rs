@@ -3,10 +3,8 @@
 use crate::event::{Event, Metric};
 use crate::handle::Sink;
 
-#[cfg(feature = "trace")]
 use std::sync::{Arc, Mutex};
 
-#[cfg(feature = "trace")]
 #[derive(Default)]
 struct State {
     events: Vec<Event>,
@@ -17,11 +15,9 @@ struct State {
 /// A thread-safe sink that accumulates counter totals, gauge maxima, and the
 /// full event log in memory.
 ///
-/// Cloning is cheap and clones share state. With the `trace` feature
-/// disabled the collector is a zero-sized stub that always reads as empty.
+/// Cloning is cheap and clones share state.
 #[derive(Clone, Default)]
 pub struct MetricsCollector {
-    #[cfg(feature = "trace")]
     state: Arc<Mutex<State>>,
 }
 
@@ -33,25 +29,18 @@ impl std::fmt::Debug for MetricsCollector {
 
 impl Sink for MetricsCollector {
     fn record(&self, event: &Event) {
-        #[cfg(feature = "trace")]
-        {
-            let mut state = self.state.lock().expect("collector poisoned");
-            match *event {
-                Event::Counter { metric, delta, .. } => {
-                    state.counters[metric.index()] += delta;
-                }
-                Event::Gauge { metric, value, .. } => {
-                    let slot = &mut state.gauge_max[metric.index()];
-                    *slot = (*slot).max(value);
-                }
-                _ => {}
+        let mut state = self.state.lock().expect("collector poisoned");
+        match *event {
+            Event::Counter { metric, delta, .. } => {
+                state.counters[metric.index()] += delta;
             }
-            state.events.push(event.clone());
+            Event::Gauge { metric, value, .. } => {
+                let slot = &mut state.gauge_max[metric.index()];
+                *slot = (*slot).max(value);
+            }
+            _ => {}
         }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = event;
-        }
+        state.events.push(event.clone());
     }
 }
 
@@ -60,63 +49,32 @@ impl MetricsCollector {
     /// [`MetricsCollector::gauge_max`]).
     #[must_use]
     pub fn counter(&self, metric: Metric) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            self.state.lock().expect("collector poisoned").counters[metric.index()]
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = metric;
-            0
-        }
+        self.state.lock().expect("collector poisoned").counters[metric.index()]
     }
 
     /// Maximum value observed for a gauge.
     #[must_use]
     pub fn gauge_max(&self, metric: Metric) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            self.state.lock().expect("collector poisoned").gauge_max[metric.index()]
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = metric;
-            0
-        }
+        self.state.lock().expect("collector poisoned").gauge_max[metric.index()]
     }
 
     /// Snapshot of the full event log, in arrival order.
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
-        #[cfg(feature = "trace")]
-        {
-            self.state
-                .lock()
-                .expect("collector poisoned")
-                .events
-                .clone()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            Vec::new()
-        }
+        self.state
+            .lock()
+            .expect("collector poisoned")
+            .events
+            .clone()
     }
 
     /// Number of events recorded so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        #[cfg(feature = "trace")]
-        {
-            self.state.lock().expect("collector poisoned").events.len()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
+        self.state.lock().expect("collector poisoned").events.len()
     }
 
-    /// True when no events have been recorded (always true with `trace`
-    /// disabled).
+    /// True when no events have been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0

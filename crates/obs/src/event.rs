@@ -1,8 +1,7 @@
 //! The trace vocabulary: span kinds, metric ids, and the event enum.
 //!
-//! These types are compiled in both feature modes so that sinks, reports, and
-//! the golden-trace tooling can be written against one vocabulary; only the
-//! *emission* side ([`crate::ObsHandle`]) is feature-gated.
+//! The emission side ([`crate::ObsHandle`]), the sinks, the reports and the
+//! golden-trace tooling are all written against this one vocabulary.
 
 /// The nesting level a span belongs to.
 ///

@@ -1,19 +1,14 @@
 //! The emission side: [`ObsHandle`], [`SpanGuard`], and the [`Sink`] trait.
 //!
-//! `ObsHandle` presents the same API in both feature modes. With `trace`
-//! enabled it carries an optional shared sink list plus the id of the span it
-//! is scoped under; with `trace` disabled it is a zero-sized struct whose
-//! methods are empty `#[inline]` stubs, so instrumentation in downstream
-//! crates compiles away without any `cfg` at the call sites.
+//! An `ObsHandle` carries an optional shared sink list plus the id of the
+//! span it is scoped under. A handle without a sink is a no-op: every
+//! emission method costs one branch on the missing sink list.
 
 use crate::collector::MetricsCollector;
 use crate::event::{Event, Metric, SpanKind};
 
-#[cfg(feature = "trace")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "trace")]
 use std::sync::{Arc, OnceLock};
-#[cfg(feature = "trace")]
 use std::time::Instant;
 
 /// Destination for trace events. Implementations must tolerate concurrent
@@ -24,21 +19,17 @@ pub trait Sink: Send + Sync {
     fn record(&self, event: &Event);
 }
 
-#[cfg(feature = "trace")]
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
-#[cfg(feature = "trace")]
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
 
-#[cfg(feature = "trace")]
 struct Inner {
     sinks: Vec<Arc<dyn Sink>>,
 }
 
-#[cfg(feature = "trace")]
 impl Inner {
     fn emit(&self, event: &Event) {
         for sink in &self.sinks {
@@ -52,13 +43,10 @@ impl Inner {
 ///
 /// A handle is *scoped*: events it emits are attributed to the span it was
 /// derived from (via [`SpanGuard::handle`]), or to no span for a fresh
-/// handle. The default handle is a no-op; so is every handle when the
-/// `trace` feature is disabled.
+/// handle. The default handle is a no-op.
 #[derive(Clone, Default)]
 pub struct ObsHandle {
-    #[cfg(feature = "trace")]
     inner: Option<Arc<Inner>>,
-    #[cfg(feature = "trace")]
     parent: u64,
 }
 
@@ -79,65 +67,38 @@ impl ObsHandle {
         Self::default()
     }
 
-    /// A root handle emitting to one sink. With `trace` disabled this
-    /// returns a no-op handle (the sink is dropped).
+    /// A root handle emitting to one sink.
     #[must_use]
-    pub fn from_sink(sink: std::sync::Arc<dyn Sink>) -> Self {
-        #[cfg(feature = "trace")]
-        {
-            ObsHandle {
-                inner: Some(Arc::new(Inner { sinks: vec![sink] })),
-                parent: 0,
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            drop(sink);
-            Self::default()
-        }
+    pub fn from_sink(sink: Arc<dyn Sink>) -> Self {
+        Self::from_sinks(vec![sink])
     }
 
     /// A root handle emitting to several sinks at once.
     #[must_use]
-    pub fn from_sinks(sinks: Vec<std::sync::Arc<dyn Sink>>) -> Self {
-        #[cfg(feature = "trace")]
-        {
-            ObsHandle {
-                inner: Some(Arc::new(Inner { sinks })),
-                parent: 0,
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            drop(sinks);
-            Self::default()
+    pub fn from_sinks(sinks: Vec<Arc<dyn Sink>>) -> Self {
+        ObsHandle {
+            inner: Some(Arc::new(Inner { sinks })),
+            parent: 0,
         }
     }
 
     /// Derive a handle that also feeds a fresh in-memory collector, keeping
     /// this handle's sinks and span scope. This is how flows attach their
     /// internal [`MetricsCollector`] while still honouring a user-supplied
-    /// trace sink. With `trace` disabled both returns are inert.
+    /// trace sink.
     #[must_use]
     pub fn with_collector(&self) -> (ObsHandle, MetricsCollector) {
         let collector = MetricsCollector::default();
-        #[cfg(feature = "trace")]
-        {
-            let mut sinks: Vec<Arc<dyn Sink>> = match &self.inner {
-                Some(inner) => inner.sinks.clone(),
-                None => Vec::new(),
-            };
-            sinks.push(Arc::new(collector.clone()));
-            let handle = ObsHandle {
-                inner: Some(Arc::new(Inner { sinks })),
-                parent: self.parent,
-            };
-            (handle, collector)
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            (self.clone(), collector)
-        }
+        let mut sinks: Vec<Arc<dyn Sink>> = match &self.inner {
+            Some(inner) => inner.sinks.clone(),
+            None => Vec::new(),
+        };
+        sinks.push(Arc::new(collector.clone()));
+        let handle = ObsHandle {
+            inner: Some(Arc::new(Inner { sinks })),
+            parent: self.parent,
+        };
+        (handle, collector)
     }
 
     /// Whether events emitted through this handle reach a sink. Use this to
@@ -146,14 +107,7 @@ impl ObsHandle {
     #[inline]
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
-        }
+        self.inner.is_some()
     }
 
     /// Open a span with ordinal 0. The span closes when the guard drops.
@@ -165,42 +119,32 @@ impl ObsHandle {
     /// Open a span carrying an ordinal payload (pass/trial/batch number).
     #[inline]
     pub fn span_indexed(&self, kind: SpanKind, label: &'static str, index: u64) -> SpanGuard {
-        #[cfg(feature = "trace")]
-        {
-            if let Some(inner) = &self.inner {
-                let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-                let t_us = epoch().elapsed().as_micros() as u64;
-                inner.emit(&Event::SpanBegin {
-                    id,
-                    parent: self.parent,
-                    kind,
-                    label,
-                    index,
-                    t_us,
-                });
-                return SpanGuard {
-                    handle: ObsHandle {
-                        inner: Some(Arc::clone(inner)),
-                        parent: id,
-                    },
-                    id,
-                    start: Instant::now(),
-                };
-            }
-            // Inert guard: reuse the static epoch instead of reading the
-            // clock for a span that will never be emitted.
-            SpanGuard {
-                handle: ObsHandle::default(),
-                id: 0,
-                start: epoch(),
-            }
+        if let Some(inner) = &self.inner {
+            let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+            let t_us = epoch().elapsed().as_micros() as u64;
+            inner.emit(&Event::SpanBegin {
+                id,
+                parent: self.parent,
+                kind,
+                label,
+                index,
+                t_us,
+            });
+            return SpanGuard {
+                handle: ObsHandle {
+                    inner: Some(Arc::clone(inner)),
+                    parent: id,
+                },
+                id,
+                start: Instant::now(),
+            };
         }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (kind, label, index);
-            SpanGuard {
-                handle: ObsHandle::default(),
-            }
+        // Inert guard: reuse the static epoch instead of reading the
+        // clock for a span that will never be emitted.
+        SpanGuard {
+            handle: ObsHandle::default(),
+            id: 0,
+            start: epoch(),
         }
     }
 
@@ -209,65 +153,44 @@ impl ObsHandle {
     /// batch order, from the merging thread.
     #[inline]
     pub fn complete_span(&self, kind: SpanKind, label: &'static str, index: u64, dur_us: u64) {
-        #[cfg(feature = "trace")]
-        {
-            if let Some(inner) = &self.inner {
-                let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-                let t_us = epoch().elapsed().as_micros() as u64;
-                inner.emit(&Event::SpanBegin {
-                    id,
-                    parent: self.parent,
-                    kind,
-                    label,
-                    index,
-                    t_us,
-                });
-                inner.emit(&Event::SpanEnd { id, dur_us });
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (kind, label, index, dur_us);
+        if let Some(inner) = &self.inner {
+            let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+            let t_us = epoch().elapsed().as_micros() as u64;
+            inner.emit(&Event::SpanBegin {
+                id,
+                parent: self.parent,
+                kind,
+                label,
+                index,
+                t_us,
+            });
+            inner.emit(&Event::SpanEnd { id, dur_us });
         }
     }
 
     /// Increment a counter, attributed to this handle's span scope.
     #[inline]
     pub fn counter(&self, metric: Metric, delta: u64) {
-        #[cfg(feature = "trace")]
-        {
-            if let Some(inner) = &self.inner {
-                if delta > 0 {
-                    inner.emit(&Event::Counter {
-                        span: self.parent,
-                        metric,
-                        delta,
-                    });
-                }
+        if let Some(inner) = &self.inner {
+            if delta > 0 {
+                inner.emit(&Event::Counter {
+                    span: self.parent,
+                    metric,
+                    delta,
+                });
             }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (metric, delta);
         }
     }
 
     /// Record a gauge observation, attributed to this handle's span scope.
     #[inline]
     pub fn gauge(&self, metric: Metric, value: u64) {
-        #[cfg(feature = "trace")]
-        {
-            if let Some(inner) = &self.inner {
-                inner.emit(&Event::Gauge {
-                    span: self.parent,
-                    metric,
-                    value,
-                });
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (metric, value);
+        if let Some(inner) = &self.inner {
+            inner.emit(&Event::Gauge {
+                span: self.parent,
+                metric,
+                value,
+            });
         }
     }
 
@@ -275,21 +198,14 @@ impl ObsHandle {
     /// simulated time `time`.
     #[inline]
     pub fn detect(&self, time: u32, newly: u32) {
-        #[cfg(feature = "trace")]
-        {
-            if let Some(inner) = &self.inner {
-                if newly > 0 {
-                    inner.emit(&Event::Detect {
-                        span: self.parent,
-                        time,
-                        newly,
-                    });
-                }
+        if let Some(inner) = &self.inner {
+            if newly > 0 {
+                inner.emit(&Event::Detect {
+                    span: self.parent,
+                    time,
+                    newly,
+                });
             }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (time, newly);
         }
     }
     /// Emit a graceful-degradation notice: the unit of work named by
@@ -298,31 +214,22 @@ impl ObsHandle {
     /// clean golden traces byte-identical.
     #[inline]
     pub fn degrade(&self, scope: &'static str, index: u64) {
-        #[cfg(feature = "trace")]
-        {
-            if let Some(inner) = &self.inner {
-                inner.emit(&Event::Degrade {
-                    span: self.parent,
-                    scope,
-                    index,
-                });
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (scope, index);
+        if let Some(inner) = &self.inner {
+            inner.emit(&Event::Degrade {
+                span: self.parent,
+                scope,
+                index,
+            });
         }
     }
 }
 
 /// RAII guard for an open span; emits the matching end event on drop.
 ///
-/// With `trace` disabled (or on a no-op handle) the guard is inert.
+/// On a no-op handle the guard is inert.
 pub struct SpanGuard {
     handle: ObsHandle,
-    #[cfg(feature = "trace")]
     id: u64,
-    #[cfg(feature = "trace")]
     start: Instant,
 }
 
@@ -351,15 +258,12 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     #[inline]
     fn drop(&mut self) {
-        #[cfg(feature = "trace")]
-        {
-            if let Some(inner) = &self.handle.inner {
-                if self.id != 0 {
-                    inner.emit(&Event::SpanEnd {
-                        id: self.id,
-                        dur_us: self.start.elapsed().as_micros() as u64,
-                    });
-                }
+        if let Some(inner) = &self.handle.inner {
+            if self.id != 0 {
+                inner.emit(&Event::SpanEnd {
+                    id: self.id,
+                    dur_us: self.start.elapsed().as_micros() as u64,
+                });
             }
         }
     }

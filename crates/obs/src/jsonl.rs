@@ -1,9 +1,10 @@
 //! JSONL serialization of trace events and the file-writer sink.
 //!
-//! The build environment vendors no JSON library, so lines are assembled by
-//! hand. Every value we emit is either a short static string or an unsigned
-//! integer, which keeps the format trivially parseable (see
-//! [`crate::shape`] for the matching reader).
+//! Lines are assembled with `format!` rather than through [`crate::Json`]:
+//! every value is a static identifier or an unsigned integer, so nothing
+//! needs escaping, and building a value tree per event would add
+//! allocations to every traced emission. [`crate::shape`] reads the lines
+//! back with `Json`.
 
 use crate::event::Event;
 use crate::handle::Sink;

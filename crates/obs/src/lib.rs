@@ -1,4 +1,4 @@
-//! # limscan-obs — zero-cost-when-disabled observability
+//! # limscan-obs — spans, metrics and trace sinks
 //!
 //! A lightweight tracing and metrics layer threaded through the limscan
 //! hot path (`sim`, `compact`, `atpg`, `core::flow`). Instrumented code
@@ -18,20 +18,18 @@
 //! `--trace out.jsonl`, or anything user-provided. [`FlowReport`]
 //! summarises a flow run for `--metrics` and programmatic use.
 //!
-//! ## The `trace` feature
+//! A handle without a sink ([`ObsHandle::noop`], the default) drops every
+//! event; each emission site then costs one branch.
 //!
-//! With the `trace` feature **off** (this crate's default), `ObsHandle` is
-//! a zero-sized struct whose methods are empty `#[inline]` stubs: the
-//! instrumentation in downstream crates compiles away and the sink types
-//! become inert. The API surface is identical in both modes, so no caller
-//! needs `cfg` gates. `limscan` (core) default-enables the feature;
-//! `limscan-bench` builds core without it so the criterion A/B and the CI
-//! overhead smoke can compare both modes.
+//! [`Json`] is the workspace's JSON value type, parser and writer:
+//! [`shape`] reads traces with it, and the job daemon speaks its wire
+//! protocol through it.
 
 mod aggregate;
 mod collector;
 mod event;
 mod handle;
+mod json;
 pub mod jsonl;
 mod report;
 pub mod shape;
@@ -40,29 +38,18 @@ pub use aggregate::MetricTotals;
 pub use collector::MetricsCollector;
 pub use event::{Event, Metric, SpanKind};
 pub use handle::{ObsHandle, Sink, SpanGuard};
+pub use json::Json;
 pub use report::{FlowReport, PhaseSummary};
 
 impl ObsHandle {
     /// A root handle writing JSONL trace lines to a freshly created file.
     ///
-    /// With the `trace` feature disabled, returns a no-op handle without
-    /// touching the filesystem — check [`ObsHandle::is_enabled`] to warn
-    /// the user that the build cannot trace.
-    ///
     /// # Errors
     /// Propagates the file-creation error.
     pub fn jsonl_file(path: &std::path::Path) -> std::io::Result<ObsHandle> {
-        #[cfg(feature = "trace")]
-        {
-            let file = std::fs::File::create(path)?;
-            let sink = jsonl::JsonlSink::new(std::io::BufWriter::new(file));
-            Ok(ObsHandle::from_sink(std::sync::Arc::new(sink)))
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = path;
-            Ok(ObsHandle::noop())
-        }
+        let file = std::fs::File::create(path)?;
+        let sink = jsonl::JsonlSink::new(std::io::BufWriter::new(file));
+        Ok(ObsHandle::from_sink(std::sync::Arc::new(sink)))
     }
 }
 
@@ -86,7 +73,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(feature = "trace"), ignore = "requires the trace feature")]
     fn collector_accumulates_counters_and_gauges() {
         let (handle, collector) = collected();
         assert!(handle.is_enabled());
@@ -105,7 +91,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(feature = "trace"), ignore = "requires the trace feature")]
     fn spans_nest_and_serialize_round_trip() {
         let (handle, collector) = collected();
         let flow = handle.span(SpanKind::Flow, "generation-flow");
@@ -138,7 +123,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(feature = "trace"), ignore = "requires the trace feature")]
     fn normalizer_rejects_structural_violations() {
         // Unbalanced span.
         let text = "{\"ev\":\"span_begin\",\"id\":7,\"parent\":0,\"kind\":\"flow\",\"label\":\"f\",\"index\":0,\"t_us\":1}\n";
@@ -163,27 +147,18 @@ mod tests {
     }
 
     #[test]
-    fn parse_line_handles_the_emitted_subset() {
-        let fields =
-            shape::parse_line("{\"ev\":\"span_end\",\"id\":12,\"dur_us\":3456}").expect("parses");
-        assert_eq!(fields.len(), 3);
-        assert!(shape::parse_line("not json").is_err());
-        assert!(shape::parse_line("{\"k\":-1}").is_err());
-    }
-
-    #[test]
-    #[cfg_attr(feature = "trace", ignore = "checks the disabled-mode stubs")]
-    fn disabled_mode_is_inert() {
-        let (handle, collector) = collected();
-        assert!(!handle.is_enabled());
-        let span = handle.span(SpanKind::Flow, "flow");
-        span.handle().counter(Metric::VectorsSimulated, 1);
-        drop(span);
-        assert!(collector.is_empty());
-        assert_eq!(collector.counter(Metric::VectorsSimulated), 0);
-        let report = FlowReport::from_collector(&collector);
-        assert!(!report.enabled);
-        assert!(report.phases.is_empty());
+    fn normalizer_rejects_malformed_lines() {
+        assert!(shape::structural_lines("not json")
+            .unwrap_err()
+            .starts_with("line 1:"));
+        let negative = "{\"ev\":\"span_end\",\"id\":-1,\"dur_us\":0}\n";
+        assert!(shape::structural_lines(negative)
+            .unwrap_err()
+            .contains("'id'"));
+        let fractional = "{\"ev\":\"span_end\",\"id\":1.5,\"dur_us\":0}\n";
+        assert!(shape::structural_lines(fractional)
+            .unwrap_err()
+            .contains("'id'"));
     }
 
     #[test]
@@ -198,7 +173,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(feature = "trace"), ignore = "requires the trace feature")]
     fn flow_report_extracts_phases() {
         let (handle, collector) = collected();
         let flow = handle.span(SpanKind::Flow, "generation-flow");
@@ -207,7 +181,6 @@ mod tests {
         flow.handle().counter(Metric::TrialsCommitted, 4);
         drop(flow);
         let report = FlowReport::from_collector(&collector);
-        assert!(report.enabled);
         let labels: Vec<_> = report.phases.iter().map(|p| p.label.as_str()).collect();
         assert_eq!(labels, vec!["generate", "omit"]);
         assert_eq!(report.counter(Metric::TrialsCommitted), 4);

@@ -17,14 +17,9 @@ pub struct PhaseSummary {
 /// Summary of one flow run: phase timings, counter totals, gauge maxima,
 /// and the detection-profile curve.
 ///
-/// Attached to `GenerationFlow`/`TranslationFlow` results. With the `trace`
-/// feature disabled every field is empty and [`FlowReport::enabled`] is
-/// false — the struct itself always exists so downstream code needs no
-/// feature gates.
+/// Attached to `GenerationFlow`/`TranslationFlow` results.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlowReport {
-    /// True when the report was built from a live collector.
-    pub enabled: bool,
     /// Top-level phases of the flow span, in execution order.
     pub phases: Vec<PhaseSummary>,
     /// Non-zero counter totals, in [`Metric::ALL`] order.
@@ -46,9 +41,6 @@ impl FlowReport {
     #[must_use]
     pub fn from_collector(collector: &MetricsCollector) -> Self {
         let events = collector.events();
-        if events.is_empty() {
-            return FlowReport::default();
-        }
         // The flow span is the first Flow-kind span in the log; its direct
         // Pass children are the phases.
         let flow_id = events.iter().find_map(|e| match e {
@@ -101,7 +93,6 @@ impl FlowReport {
             .filter(|(_, v)| *v > 0)
             .collect();
         FlowReport {
-            enabled: true,
             phases,
             counters,
             gauges,
@@ -109,7 +100,7 @@ impl FlowReport {
         }
     }
 
-    /// Total for one counter (0 when absent or disabled).
+    /// Total for one counter (0 when absent).
     #[must_use]
     pub fn counter(&self, metric: Metric) -> u64 {
         self.counters
@@ -118,7 +109,7 @@ impl FlowReport {
             .map_or(0, |(_, v)| *v)
     }
 
-    /// Maximum observed for one gauge (0 when absent or disabled).
+    /// Maximum observed for one gauge (0 when absent).
     #[must_use]
     pub fn gauge(&self, metric: Metric) -> u64 {
         self.gauges
@@ -130,9 +121,6 @@ impl FlowReport {
     /// Human-readable multi-line rendering for `--metrics` output.
     #[must_use]
     pub fn render(&self) -> String {
-        if !self.enabled {
-            return "metrics: trace feature disabled in this build\n".to_string();
-        }
         let mut out = String::from("== flow metrics ==\n");
         out.push_str("phases:\n");
         for phase in &self.phases {

@@ -2,122 +2,16 @@
 //!
 //! A raw trace is not directly comparable across runs: span ids come from a
 //! process-global counter and timing fields are wall-clock. This module
-//! parses the JSONL subset emitted by [`crate::jsonl`], masks the volatile
-//! fields (timestamps, durations, gauge values), renumbers span ids in
-//! first-appearance order, and validates structural invariants (balanced
-//! nesting, parents open at child begin, positive counter deltas, monotone
-//! detection times) — yielding canonical lines that are stable run-to-run
-//! for a deterministic single-threaded flow.
+//! parses each line emitted by [`crate::jsonl`] with [`Json`], masks the
+//! volatile fields (timestamps, durations, gauge values), renumbers span
+//! ids in first-appearance order, and validates structural invariants
+//! (balanced nesting, parents open at child begin, positive counter deltas,
+//! monotone detection times) — yielding canonical lines that are stable
+//! run-to-run for a deterministic single-threaded flow.
 
 use std::collections::HashMap;
 
-/// A value in the flat JSON objects our trace lines use.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum JsonValue {
-    /// A string value (labels, kinds, metric names).
-    Str(String),
-    /// An unsigned integer value (ids, times, deltas).
-    Num(u64),
-}
-
-impl JsonValue {
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            JsonValue::Num(_) => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            JsonValue::Str(_) => None,
-        }
-    }
-}
-
-/// Parse one flat JSON object line of the form
-/// `{"k":"str","n":123,...}` into key/value pairs in source order.
-///
-/// # Errors
-/// Returns a description of the first syntax error encountered.
-pub fn parse_line(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let bytes = line.trim().as_bytes();
-    let mut pos = 0usize;
-    let err = |pos: usize, what: &str| format!("byte {pos}: {what}");
-    if bytes.first() != Some(&b'{') {
-        return Err(err(0, "expected '{'"));
-    }
-    pos += 1;
-    let mut fields = Vec::new();
-    loop {
-        if bytes.get(pos) == Some(&b'}') {
-            pos += 1;
-            break;
-        }
-        // Key.
-        if bytes.get(pos) != Some(&b'"') {
-            return Err(err(pos, "expected '\"' starting a key"));
-        }
-        pos += 1;
-        let key_start = pos;
-        while bytes.get(pos).is_some_and(|b| *b != b'"') {
-            pos += 1;
-        }
-        if bytes.get(pos) != Some(&b'"') {
-            return Err(err(pos, "unterminated key"));
-        }
-        let key = String::from_utf8_lossy(&bytes[key_start..pos]).into_owned();
-        pos += 1;
-        if bytes.get(pos) != Some(&b':') {
-            return Err(err(pos, "expected ':'"));
-        }
-        pos += 1;
-        // Value: string or unsigned integer.
-        let value = if bytes.get(pos) == Some(&b'"') {
-            pos += 1;
-            let val_start = pos;
-            while bytes.get(pos).is_some_and(|b| *b != b'"') {
-                if bytes[pos] == b'\\' {
-                    return Err(err(
-                        pos,
-                        "escape sequences are not part of the trace subset",
-                    ));
-                }
-                pos += 1;
-            }
-            if bytes.get(pos) != Some(&b'"') {
-                return Err(err(pos, "unterminated string value"));
-            }
-            let s = String::from_utf8_lossy(&bytes[val_start..pos]).into_owned();
-            pos += 1;
-            JsonValue::Str(s)
-        } else {
-            let num_start = pos;
-            while bytes.get(pos).is_some_and(u8::is_ascii_digit) {
-                pos += 1;
-            }
-            if pos == num_start {
-                return Err(err(pos, "expected a string or unsigned integer value"));
-            }
-            let text = std::str::from_utf8(&bytes[num_start..pos]).expect("digits are utf8");
-            JsonValue::Num(
-                text.parse::<u64>()
-                    .map_err(|e| err(num_start, &format!("bad integer: {e}")))?,
-            )
-        };
-        fields.push((key, value));
-        match bytes.get(pos) {
-            Some(&b',') => pos += 1,
-            Some(&b'}') => {}
-            _ => return Err(err(pos, "expected ',' or '}'")),
-        }
-    }
-    if pos != bytes.len() {
-        return Err(err(pos, "trailing garbage after object"));
-    }
-    Ok(fields)
-}
+use crate::Json;
 
 struct Normalizer {
     /// Raw span id -> canonical id (1-based, first-appearance order).
@@ -133,22 +27,15 @@ struct Normalizer {
 }
 
 impl Normalizer {
-    fn get(fields: &[(String, JsonValue)], key: &str) -> Option<JsonValue> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
+    fn num(line: &Json, key: &str) -> Result<u64, String> {
+        line.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("missing unsigned integer field '{key}'"))
     }
 
-    fn num(fields: &[(String, JsonValue)], key: &str) -> Result<u64, String> {
-        Self::get(fields, key)
-            .and_then(|v| v.as_num())
-            .ok_or_else(|| format!("missing numeric field '{key}'"))
-    }
-
-    fn string(fields: &[(String, JsonValue)], key: &str) -> Result<String, String> {
-        Self::get(fields, key)
-            .and_then(|v| v.as_str().map(ToOwned::to_owned))
+    fn string<'a>(line: &'a Json, key: &str) -> Result<&'a str, String> {
+        line.get(key)
+            .and_then(Json::as_str)
             .ok_or_else(|| format!("missing string field '{key}'"))
     }
 
@@ -167,15 +54,15 @@ impl Normalizer {
         Ok(id)
     }
 
-    fn event(&mut self, fields: &[(String, JsonValue)]) -> Result<(), String> {
-        let kind = Self::string(fields, "ev")?;
+    fn event(&mut self, line: &Json) -> Result<(), String> {
+        let kind = Self::string(line, "ev")?;
         if kind != "detect" {
             self.prev_detect_span = None;
         }
-        match kind.as_str() {
+        match kind {
             "span_begin" => {
-                let raw_id = Self::num(fields, "id")?;
-                let raw_parent = Self::num(fields, "parent")?;
+                let raw_id = Self::num(line, "id")?;
+                let raw_parent = Self::num(line, "parent")?;
                 let parent = self.scope(raw_parent)?;
                 if self.remap.contains_key(&raw_id) {
                     return Err(format!("span id {raw_id} begun twice"));
@@ -186,13 +73,13 @@ impl Normalizer {
                 self.open.push(id);
                 self.out.push(format!(
                     "span_begin id={id} parent={parent} kind={} label={} index={}",
-                    Self::string(fields, "kind")?,
-                    Self::string(fields, "label")?,
-                    Self::num(fields, "index")?,
+                    Self::string(line, "kind")?,
+                    Self::string(line, "label")?,
+                    Self::num(line, "index")?,
                 ));
             }
             "span_end" => {
-                let raw_id = Self::num(fields, "id")?;
+                let raw_id = Self::num(line, "id")?;
                 let id = self
                     .remap
                     .get(&raw_id)
@@ -208,31 +95,31 @@ impl Normalizer {
                 self.out.push(format!("span_end id={id}"));
             }
             "counter" => {
-                let span = self.scope(Self::num(fields, "span")?)?;
-                let delta = Self::num(fields, "delta")?;
+                let span = self.scope(Self::num(line, "span")?)?;
+                let delta = Self::num(line, "delta")?;
                 if delta == 0 {
                     return Err("counter delta of 0 violates monotonicity".to_string());
                 }
                 self.out.push(format!(
                     "counter span={span} metric={} delta={delta}",
-                    Self::string(fields, "metric")?,
+                    Self::string(line, "metric")?,
                 ));
             }
             "gauge" => {
-                let span = self.scope(Self::num(fields, "span")?)?;
+                let span = self.scope(Self::num(line, "span")?)?;
                 // Gauge values (scratch bytes, thread counts) are masked:
                 // they may legitimately change across engine-tuning PRs.
                 self.out.push(format!(
                     "gauge span={span} metric={}",
-                    Self::string(fields, "metric")?,
+                    Self::string(line, "metric")?,
                 ));
             }
             "detect" => {
-                let span = self.scope(Self::num(fields, "span")?)?;
-                let time_raw = Self::num(fields, "time")?;
+                let span = self.scope(Self::num(line, "span")?)?;
+                let time_raw = Self::num(line, "time")?;
                 let time = u32::try_from(time_raw)
                     .map_err(|_| format!("detect time {time_raw} out of range"))?;
-                let newly = Self::num(fields, "newly")?;
+                let newly = Self::num(line, "newly")?;
                 if newly == 0 {
                     return Err("detect with newly=0 violates monotonicity".to_string());
                 }
@@ -251,14 +138,14 @@ impl Normalizer {
                     .push(format!("detect span={span} time={time} newly={newly}"));
             }
             "degrade" => {
-                let span = self.scope(Self::num(fields, "span")?)?;
+                let span = self.scope(Self::num(line, "span")?)?;
                 // Degradation notices only appear when a worker panic was
                 // absorbed; healthy golden traces contain none, so this arm
                 // exists for chaos-run traces and forward compatibility.
                 self.out.push(format!(
                     "degrade span={span} scope={} index={}",
-                    Self::string(fields, "scope")?,
-                    Self::num(fields, "index")?,
+                    Self::string(line, "scope")?,
+                    Self::num(line, "index")?,
                 ));
             }
             other => return Err(format!("unknown event kind '{other}'")),
@@ -290,8 +177,8 @@ pub fn structural_lines(text: &str) -> Result<Vec<String>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let fields = parse_line(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        norm.event(&fields)
+        let value = Json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        norm.event(&value)
             .map_err(|e| format!("line {}: {e}", lineno + 1))?;
     }
     if !norm.open.is_empty() {

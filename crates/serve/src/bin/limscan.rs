@@ -39,7 +39,7 @@
 //! netlists, structural `.blif` netlists, or a benchmark name like `s27` /
 //! `s298`. `--trace` streams the span/metric event log as JSONL;
 //! `--metrics` prints the per-phase summary and detection profile to
-//! stderr (both need the `trace` feature, which is on by default).
+//! stderr.
 //!
 //! `equiv` runs the cross-engine bounded equivalence checker: two named
 //! circuits, or one circuit against its own scan-inserted variant
@@ -154,32 +154,14 @@ exit status: 0 complete, 1 difference found by `equiv` (or a failed
 `client` request), 2 error, 3 stopped at a budget limit (partial result
 kept; resume from the latest --snapshots checkpoint)";
 
-/// Parses `--trace` / `--metrics` into an observability handle. Warns
-/// (without failing) when the binary was built without the `trace`
-/// feature, in which case the handle stays inert and the trace file is
-/// not created.
+/// Parses `--trace` / `--metrics` into an observability handle.
 fn obs_from_args(args: &[String]) -> Result<(ObsHandle, bool), String> {
     let metrics = args.iter().any(|a| a == "--metrics");
     let obs = match flag_value(args, "--trace") {
-        Some(path) => {
-            let handle = ObsHandle::jsonl_file(Path::new(path))
-                .map_err(|e| format!("cannot create trace file {path}: {e}"))?;
-            if !handle.is_enabled() {
-                eprintln!(
-                    "warning: this build has the `trace` feature disabled; \
-                     --trace is ignored and {path} is not created"
-                );
-            }
-            handle
-        }
+        Some(path) => ObsHandle::jsonl_file(Path::new(path))
+            .map_err(|e| format!("cannot create trace file {path}: {e}"))?,
         None => ObsHandle::noop(),
     };
-    if metrics && !cfg!(feature = "trace") {
-        eprintln!(
-            "warning: this build has the `trace` feature disabled; \
-             --metrics will report nothing"
-        );
-    }
     Ok((obs, metrics))
 }
 
@@ -629,9 +611,7 @@ fn cmd_compact(args: &[String]) -> Result<ExitCode, String> {
     let before = SeqFaultSim::run(sc.circuit(), &faults, &sequence);
     if metrics {
         let mut report = FlowReport::from_collector(&collector);
-        if report.enabled {
-            report.detection_profile = before.detection_profile();
-        }
+        report.detection_profile = before.detection_profile();
         eprint!("{}", report.render());
     }
     let after = SeqFaultSim::run(sc.circuit(), &faults, &final_seq);

@@ -2,10 +2,9 @@
 
 use limscan::netlist::bench_format;
 use limscan::netlist::ParseLimits;
+use limscan::obs::Json;
 use limscan::scan::program::parse_program;
 use limscan::{benchmarks, Circuit, FlowConfig, ObsHandle, ScanCircuit, TestSequence};
-
-use crate::json::Json;
 
 /// What kind of flow a job runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -19,13 +19,12 @@
 //! [`SnapshotStore`]: limscan::SnapshotStore
 
 pub mod job;
-pub mod json;
 pub mod proto;
 pub mod server;
 pub mod socket;
 
 pub use job::{JobKind, JobMeta, JobSpec, JobState, JobStatus};
-pub use json::Json;
+pub use limscan::obs::Json;
 pub use server::{
     run_direct, JobMetrics, MetricsReport, Server, ServerConfig, TenantMetrics, TenantQuota,
 };

@@ -17,10 +17,9 @@
 //! Errors are `{"ok":false,"error":"..."}`; a malformed line gets an error
 //! response rather than dropping the connection.
 
-use limscan::obs::MetricTotals;
+use limscan::obs::{Json, MetricTotals};
 
 use crate::job::JobSpec;
-use crate::json::Json;
 use crate::server::Server;
 
 /// What the connection loop should do after writing the response.

@@ -49,8 +49,7 @@ use crate::job::{JobKind, JobMeta, JobSpec, JobState, JobStatus};
 /// `max_queued` bounds a tenant's live (non-terminal) jobs,
 /// `max_concurrent` bounds its simultaneously running slices, and
 /// `max_vectors` rejects new work once the tenant's simulated-vector
-/// account is exhausted (vector accounting needs the `trace` feature; it
-/// reads zero without it).
+/// account is exhausted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TenantQuota {
     /// Maximum live (queued + parked + running) jobs.
@@ -84,7 +83,7 @@ pub struct ServerConfig {
     /// Quota applied to every tenant.
     pub quota: TenantQuota,
     /// Write a `trace-NNN.jsonl` span/metric trace per slice into the job
-    /// directory (needs the `trace` feature).
+    /// directory.
     pub trace_jobs: bool,
     /// Parse budget applied to inline `bench` payloads at admission, so a
     /// hostile submit cannot make the daemon build an unbounded netlist.

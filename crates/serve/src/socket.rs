@@ -210,7 +210,7 @@ fn handle_connection(server: &Server, stream: UnixStream, cfg: &SocketConfig) ->
     };
     let mut writer = io::BufWriter::new(write_half);
     let mut reader = BufReader::new(stream);
-    let respond = |writer: &mut io::BufWriter<UnixStream>, response: &crate::json::Json| {
+    let respond = |writer: &mut io::BufWriter<UnixStream>, response: &crate::Json| {
         let mut text = response.render();
         text.push('\n');
         writer
@@ -404,8 +404,8 @@ pub fn request_retry(socket_path: &Path, line: &str, policy: &RetryPolicy) -> io
 /// Whether a response line is the connection-cap shed answer (which is
 /// written before the daemon reads anything, making a retry safe).
 fn shed_response(response: &str) -> bool {
-    crate::json::Json::parse(response)
-        .is_ok_and(|v| v.get("code").and_then(crate::json::Json::as_str) == Some("overloaded"))
+    crate::Json::parse(response)
+        .is_ok_and(|v| v.get("code").and_then(crate::Json::as_str) == Some("overloaded"))
 }
 
 /// Connect errors worth retrying: the daemon may not be listening *yet*

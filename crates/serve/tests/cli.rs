@@ -102,6 +102,48 @@ fn budgeted_compact_stops_with_status_3_and_writes_the_best_program() {
     assert!(len(&stopped) <= len(&prog));
 }
 
+/// Runs `limscan` with `--trace` and `--metrics` and checks both outputs:
+/// the trace file passes the structural normalizer, and the stderr report
+/// names `phase` among its phase lines.
+fn assert_traced(args: &[&str], trace: &std::path::Path, phase: &str) {
+    let out = limscan()
+        .args(args)
+        .args(["--trace", trace.to_str().unwrap(), "--metrics"])
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let text = std::fs::read_to_string(trace).expect("trace written");
+    if let Err(e) = limscan::obs::shape::structural_lines(&text) {
+        panic!("{}: malformed trace: {e}", trace.display());
+    }
+    assert!(stderr.contains("== flow metrics =="), "{stderr}");
+    assert!(
+        stderr.lines().any(|line| {
+            let words: Vec<_> = line.split_whitespace().collect();
+            words.first() == Some(&phase) && words.last() == Some(&"us")
+        }),
+        "no `{phase}` phase line in:\n{stderr}"
+    );
+}
+
+#[test]
+fn trace_and_metrics_flags_write_a_valid_trace_and_a_phase_report() {
+    let prog = temp_path("s27_traced.prog");
+    let prog = prog.to_str().unwrap();
+    assert_traced(
+        &["generate", "s27", "-o", prog],
+        &temp_path("s27_generate.jsonl"),
+        "generate",
+    );
+    let compacted = temp_path("s27_traced_compacted.prog");
+    assert_traced(
+        &["compact", "s27", prog, "-o", compacted.to_str().unwrap()],
+        &temp_path("s27_compact.jsonl"),
+        "omit",
+    );
+}
+
 #[test]
 fn generate_accepts_bench_files_and_engine_flags() {
     // Write a .bench file, then run the genetic engine on it uncompacted.

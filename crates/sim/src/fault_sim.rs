@@ -1740,9 +1740,6 @@ mod tests {
     #[test]
     fn observed_extend_emits_consistent_metrics() {
         let (obs, collector) = ObsHandle::noop().with_collector();
-        if !obs.is_enabled() {
-            return; // obs built without the trace feature in this config
-        }
         let c = benchmarks::s27();
         let faults = FaultList::collapsed(&c);
         let seq = random_sequence(c.inputs().len(), 25, 4);

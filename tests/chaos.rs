@@ -138,13 +138,10 @@ fn absorbed_batch_panic_preserves_the_final_test_set() {
         "absorbed panic changed result"
     );
     assert_eq!(run.detected, clean.detected);
-    #[cfg(feature = "trace")]
     assert!(
         collector.degrade_count() > 0,
         "an absorbed batch panic must be observable as a degrade event"
     );
-    #[cfg(not(feature = "trace"))]
-    let _ = collector;
 }
 
 #[test]
@@ -168,13 +165,10 @@ fn absorbed_omission_trial_panic_preserves_the_final_test_set() {
         run.sequence, clean.sequence,
         "absorbed panic changed result"
     );
-    #[cfg(feature = "trace")]
     assert!(
         collector.degrade_count() > 0,
         "an absorbed trial panic must be observable as a degrade event"
     );
-    #[cfg(not(feature = "trace"))]
-    let _ = collector;
 }
 
 #[test]
@@ -196,13 +190,10 @@ fn enospc_on_snapshot_write_degrades_without_losing_the_run() {
 
     // The failed checkpoint degraded; the run itself was never at risk.
     assert_eq!(run.sequence, clean.sequence);
-    #[cfg(feature = "trace")]
     assert!(
         collector.degrade_count() > 0,
         "a failed snapshot write must be observable as a degrade event"
     );
-    #[cfg(not(feature = "trace"))]
-    let _ = collector;
 
     // One injection per arming: later boundaries checkpointed normally,
     // and nothing on disk is torn.
@@ -344,13 +335,10 @@ fn injected_directory_fsync_failure_degrades_but_never_tears_state() {
     let (run, collector) = observed_run(&circuit, Some(store));
     drop(guard);
     assert_eq!(run.sequence, clean.sequence);
-    #[cfg(feature = "trace")]
     assert!(
         collector.degrade_count() > 0,
         "a failed directory fsync must be observable as a degrade event"
     );
-    #[cfg(not(feature = "trace"))]
-    let _ = collector;
     assert!(
         assert_no_torn_files(&dir) >= 1,
         "the rename landed, so the snapshot must be on disk and valid"

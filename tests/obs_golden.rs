@@ -99,10 +99,6 @@ fn s27_generation_flow_trace_matches_golden() {
             ..FlowConfig::default()
         };
         let flow = GenerationFlow::run(&benchmarks::s27(), &config).unwrap();
-        assert!(
-            flow.report.enabled,
-            "trace feature must be on for the suite"
-        );
         assert!(!flow.report.detection_profile.is_empty());
     });
     assert_matches_golden("s27_generation.jsonl", &actual);
@@ -119,7 +115,6 @@ fn s298_translation_flow_trace_matches_golden() {
             ..FlowConfig::default()
         };
         let flow = TranslationFlow::run(&benchmarks::load("s298").unwrap(), &config).unwrap();
-        assert!(flow.report.enabled);
         assert!(!flow.report.detection_profile.is_empty());
     });
     assert_matches_golden("s298_translation.jsonl", &actual);
@@ -141,7 +136,6 @@ fn s27_equiv_flow_trace_matches_golden() {
         let c = benchmarks::s27();
         let flow = EquivFlow::run_scan_variant(&c, 1, &opts, &config).unwrap();
         assert!(flow.verdict.is_equivalent());
-        assert!(flow.report.enabled);
         assert_eq!(
             flow.report.counter(limscan::obs::Metric::EquivRounds),
             opts.rounds as u64
