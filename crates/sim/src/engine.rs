@@ -63,8 +63,8 @@ static THREAD_DEFAULT: OnceLock<usize> = OnceLock::new();
 /// Overrides the number of worker threads the fault simulator may use.
 ///
 /// `Some(n)` forces `n` threads (`n = 1` disables parallelism entirely),
-/// `None` restores the default resolution order: `LIMSCAN_THREADS`, then
-/// `RAYON_NUM_THREADS`, then the machine's available parallelism.
+/// `None` restores the default: a positive `LIMSCAN_THREADS`, else the
+/// machine's available parallelism.
 ///
 /// Results are bit-identical for every thread count; this knob only trades
 /// latency against CPU usage.
@@ -81,49 +81,11 @@ pub fn sim_threads() -> usize {
 }
 
 fn default_threads() -> usize {
-    for var in ["LIMSCAN_THREADS", "RAYON_NUM_THREADS"] {
-        if let Ok(value) = std::env::var(var) {
-            if let Ok(n) = value.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
-}
-
-// ---------------------------------------------------------------------------
-// Fault-dropping control
-// ---------------------------------------------------------------------------
-
-/// Programmatic override; 0 = not set, 1 = off, 2 = on.
-static DROP_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides mid-extension fault dropping in
-/// [`SeqFaultSim::extend`](crate::SeqFaultSim::extend).
-///
-/// With dropping on (the default), an extension is simulated in slices and
-/// faults detected in one slice retire from the active universe before the
-/// next, so the remaining work shrinks as coverage grows. `Some(false)`
-/// forces every fault to be simulated over the whole extension (the
-/// pre-dropping behaviour), `None` restores the default.
-///
-/// Per-fault results — detection times and surviving machine states — are
-/// bit-identical either way; the knob only trades latency, and exists so
-/// equivalence tests can pin one mode.
-pub fn set_fault_dropping(enabled: Option<bool>) {
-    let v = match enabled {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    DROP_OVERRIDE.store(v, Ordering::SeqCst);
-}
-
-/// Whether mid-extension fault dropping is enabled (default: yes).
-pub fn fault_dropping() -> bool {
-    DROP_OVERRIDE.load(Ordering::SeqCst) != 1
+    std::env::var("LIMSCAN_THREADS")
+        .ok()
+        .and_then(|value| value.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// Minimum estimated dense work (time units × gates × lane words) before an
@@ -163,9 +125,9 @@ pub(crate) struct Topology {
     /// Per comb position: output net index (kept for dirty-list
     /// bookkeeping; evaluation goes through `flat`).
     gate_net: Vec<u32>,
-    /// Per-position fanin CSR, aligned with `flat`'s pin-target CSR.
+    /// Per comb position: offset of the gate's first fanin pin (CSR
+    /// offsets, aligned with `flat`'s pin-target CSR).
     pub(crate) fanin_off: Vec<u32>,
-    fanin: Vec<u32>,
     /// CSR consumer indexes, per net: comb positions of consuming gates
     /// and indexes of consuming flip-flops.
     gc_off: Vec<u32>,
@@ -203,7 +165,6 @@ impl Topology {
         let mut n_levels = 0usize;
         let mut gate_net = Vec::with_capacity(n_comb);
         let mut fanin_off = Vec::with_capacity(n_comb + 1);
-        let mut fanin = Vec::new();
         fanin_off.push(0);
         for (pos, &id) in circuit.comb_order().iter().enumerate() {
             let Driver::Gate { fanins, .. } = circuit.net(id).driver() else {
@@ -218,8 +179,7 @@ impl Topology {
             level_of_pos[pos] = lvl;
             n_levels = n_levels.max(lvl as usize + 1);
             gate_net.push(id.index() as u32);
-            fanin.extend(fanins.iter().map(|f| f.index() as u32));
-            fanin_off.push(fanin.len() as u32);
+            fanin_off.push(fanin_off[pos] + fanins.len() as u32);
         }
 
         // CSR consumer lists (gates by comb position, FFs by index).
@@ -265,7 +225,6 @@ impl Topology {
             dff_pos_of,
             gate_net,
             fanin_off,
-            fanin,
             gc_off,
             gc,
             dc_off,
@@ -288,13 +247,6 @@ impl Topology {
     #[inline]
     fn dff_consumers(&self, net: usize) -> &[u32] {
         &self.dc[self.dc_off[net] as usize..self.dc_off[net + 1] as usize]
-    }
-
-    /// Fanin net indexes of the gate at comb position `pos`.
-    #[inline]
-    #[allow(dead_code)] // diagnostic accessor, mirrors the CSR layout
-    fn gate_fanins(&self, pos: usize) -> &[u32] {
-        &self.fanin[self.fanin_off[pos] as usize..self.fanin_off[pos + 1] as usize]
     }
 
     /// Primary input net indexes, in declaration order.

@@ -10,7 +10,7 @@
 //! associative with identities, so the fold order matches the reference
 //! `eval_gate` exactly), and a `Mux` becomes the three-term Kleene form
 //! `(!s & d0) | (s & d1) | (d0 & d1)`, whose bit-plane expansion is
-//! algebraically identical to [`Word3::mux`](crate::Word3::mux).
+//! algebraically identical to [`WideWord::mux`](crate::WideWord::mux).
 //!
 //! The lowering also computes the circuit's *weakly-connected components*
 //! over gate fanin edges and flip-flop D→Q edges. A fault's divergence can
@@ -281,7 +281,7 @@ impl FlatNetlist {
                     }
                     (GateKind::Mux, _) => {
                         // (!s & d0) | (s & d1) | (d0 & d1): bit-plane
-                        // identical to Word3::mux (see module docs).
+                        // identical to WideWord::mux (see module docs).
                         n_temps = n_temps.max(5);
                         let base = ops.len() as u32;
                         pin_tgts[pin(0)].push((base, 0)); // s → t0.a
@@ -503,8 +503,7 @@ impl<const W: usize> OpPatch<W> {
     }
 }
 
-/// Per-batch fault injection against the flat op stream; the wide-word
-/// successor of the 64-lane `InjectionTable`. All buffers are
+/// Per-batch fault injection against the flat op stream. All buffers are
 /// touched-cleared, so reloading for the next batch is O(previous batch).
 #[derive(Default)]
 pub(crate) struct WideInjection<const W: usize> {

@@ -1,9 +1,9 @@
 //! Logic and fault simulation for the `limscan` workspace.
 //!
 //! * [`Logic`] — scalar three-valued logic (0 / 1 / X);
-//! * [`Word3`] — 64-lane bit-parallel three-valued words;
-//! * [`WideWord`] — multi-word wide lanes ([`LANES`] faults per word,
-//!   [`LANE_WORDS`] 64-bit planes per logic bit), portable on stable Rust;
+//! * [`WideWord`] — bit-parallel three-valued words of `64 * W` lanes
+//!   (production batches hold [`LANES`] faults, [`LANE_WORDS`] 64-bit
+//!   planes per logic bit), portable on stable Rust;
 //! * [`TestSequence`] — a flat sequence of input vectors, the paper's
 //!   central object (scan operations are just vectors with `scan_sel = 1`);
 //! * [`eval_comb`] / [`SeqGoodSim`] — combinational and sequential
@@ -49,6 +49,7 @@
 mod cancel;
 mod checkpoint;
 mod comb;
+mod dense;
 mod dictionary;
 mod engine;
 pub mod fail_inject;
@@ -65,13 +66,11 @@ pub use cancel::CancelFlag;
 pub use checkpoint::{PrefixState, TrialCheckpoints};
 pub use comb::CombFaultSim;
 pub use dictionary::{FaultDictionary, Syndrome};
-pub use engine::{fault_dropping, set_fault_dropping, set_sim_threads, sim_threads};
-pub use fault_sim::{
-    single_fault_detects, DetectionReport, FaultOrder, SeqFaultSim, SingleFaultSim,
-};
+pub use engine::{set_sim_threads, sim_threads};
+pub use fault_sim::{single_fault_detects, DetectionReport, SeqFaultSim, SingleFaultSim};
 pub use frame::FrameSim;
 pub use good::{eval_comb, eval_comb_with, next_state, SeqGoodSim};
 pub use lockstep::LockstepSim;
 pub use logic::Logic;
-pub use parallel::{WideWord, Word3, LANES, LANE_WORDS};
+pub use parallel::{WideWord, LANES, LANE_WORDS};
 pub use sequence::TestSequence;

@@ -1,7 +1,4 @@
-//! Bit-parallel three-valued words: the classic 64-lane [`Word3`] and the
-//! multi-word [`WideWord`] used by the v3 flat kernel.
-
-use std::fmt;
+//! Bit-parallel three-valued words: [`WideWord`], `64 * W` lanes per word.
 
 use crate::logic::Logic;
 
@@ -16,182 +13,14 @@ pub const LANE_WORDS: usize = 4;
 /// Lanes per batch in the production wide kernel (`64 * LANE_WORDS`).
 pub const LANES: usize = 64 * LANE_WORDS;
 
-/// A three-valued value for each of 64 independent lanes.
-///
-/// Encoding: bit `i` of `v1` set means lane `i` carries logic 1; bit `i` of
-/// `v0` set means logic 0; neither bit set means X. Both bits set is not a
-/// valid state and is never produced by the operations here.
-///
-/// Lanes are used by the parallel-fault simulator: one fault per lane, with
-/// the fault-free circuit in lane [`Word3::GOOD_LANE`].
-///
-/// # Example
-///
-/// ```
-/// use limscan_sim::{Logic, Word3};
-///
-/// let a = Word3::broadcast(Logic::One);
-/// let mut b = Word3::broadcast(Logic::X);
-/// b.set_lane(3, Logic::Zero);
-/// let y = a.and(b);
-/// assert_eq!(y.lane(3), Logic::Zero);
-/// assert_eq!(y.lane(0), Logic::X);
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct Word3 {
-    /// Lanes carrying logic 0.
-    pub v0: u64,
-    /// Lanes carrying logic 1.
-    pub v1: u64,
-}
-
-impl Word3 {
-    /// The lane reserved for the fault-free circuit by the fault simulator.
-    pub const GOOD_LANE: usize = 63;
-
-    /// All lanes X.
-    pub const ALL_X: Word3 = Word3 { v0: 0, v1: 0 };
-
-    /// The same scalar value in every lane.
-    #[inline]
-    pub fn broadcast(value: Logic) -> Self {
-        match value {
-            Logic::Zero => Word3 { v0: !0, v1: 0 },
-            Logic::One => Word3 { v0: 0, v1: !0 },
-            Logic::X => Word3 { v0: 0, v1: 0 },
-        }
-    }
-
-    /// The value in lane `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= 64`.
-    #[inline]
-    pub fn lane(self, i: usize) -> Logic {
-        assert!(i < 64, "lane {i} out of range");
-        let m = 1u64 << i;
-        if self.v1 & m != 0 {
-            Logic::One
-        } else if self.v0 & m != 0 {
-            Logic::Zero
-        } else {
-            Logic::X
-        }
-    }
-
-    /// Sets lane `i` to `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= 64`.
-    #[inline]
-    pub fn set_lane(&mut self, i: usize, value: Logic) {
-        assert!(i < 64, "lane {i} out of range");
-        let m = 1u64 << i;
-        self.v0 &= !m;
-        self.v1 &= !m;
-        match value {
-            Logic::Zero => self.v0 |= m,
-            Logic::One => self.v1 |= m,
-            Logic::X => {}
-        }
-    }
-
-    /// Forces the lanes in `mask` to logic 0 (stuck-at-0 injection).
-    #[inline]
-    pub fn force_zero(self, mask: u64) -> Self {
-        Word3 {
-            v0: self.v0 | mask,
-            v1: self.v1 & !mask,
-        }
-    }
-
-    /// Forces the lanes in `mask` to logic 1 (stuck-at-1 injection).
-    #[inline]
-    pub fn force_one(self, mask: u64) -> Self {
-        Word3 {
-            v0: self.v0 & !mask,
-            v1: self.v1 | mask,
-        }
-    }
-
-    /// Lane-wise AND.
-    #[inline]
-    pub fn and(self, other: Self) -> Self {
-        Word3 {
-            v0: self.v0 | other.v0,
-            v1: self.v1 & other.v1,
-        }
-    }
-
-    /// Lane-wise OR.
-    #[inline]
-    pub fn or(self, other: Self) -> Self {
-        Word3 {
-            v0: self.v0 & other.v0,
-            v1: self.v1 | other.v1,
-        }
-    }
-
-    /// Lane-wise XOR.
-    #[inline]
-    pub fn xor(self, other: Self) -> Self {
-        Word3 {
-            v0: (self.v0 & other.v0) | (self.v1 & other.v1),
-            v1: (self.v0 & other.v1) | (self.v1 & other.v0),
-        }
-    }
-
-    /// Lane-wise NOT (also available as the `!` operator).
-    #[inline]
-    #[allow(clippy::should_implement_trait)] // `!` is provided too; the
-                                             // inherent method keeps chained call sites readable without an import
-    pub fn not(self) -> Self {
-        Word3 {
-            v0: self.v1,
-            v1: self.v0,
-        }
-    }
-
-    /// Lane-wise 2-to-1 multiplexer with `self` as select.
-    #[inline]
-    pub fn mux(self, d0: Self, d1: Self) -> Self {
-        Word3 {
-            v0: (self.v0 & d0.v0) | (self.v1 & d1.v0) | (d0.v0 & d1.v0),
-            v1: (self.v0 & d0.v1) | (self.v1 & d1.v1) | (d0.v1 & d1.v1),
-        }
-    }
-
-    /// Lanes where `self` and `other` carry complementary binary values —
-    /// the three-valued-safe detection mask.
-    #[inline]
-    pub fn conflict_mask(self, other: Self) -> u64 {
-        (self.v0 & other.v1) | (self.v1 & other.v0)
-    }
-
-    /// Lanes holding a binary (non-X) value.
-    #[inline]
-    pub fn binary_mask(self) -> u64 {
-        self.v0 | self.v1
-    }
-}
-
-impl std::ops::Not for Word3 {
-    type Output = Word3;
-
-    fn not(self) -> Word3 {
-        Word3::not(self)
-    }
-}
-
 /// A three-valued value for each of `64 * W` independent lanes.
 ///
-/// The multi-word generalisation of [`Word3`]: bit `i` of `v1[w]` set means
-/// lane `64 * w + i` carries logic 1, the same bit of `v0[w]` means logic 0,
-/// neither means X (both is invalid and never produced). Operations are
-/// plain per-word bitwise expressions over fixed-size arrays, so the
-/// compiler unrolls and vectorises them on stable Rust.
+/// Bit `i` of `v1[w]` set means lane `64 * w + i` carries logic 1, the same
+/// bit of `v0[w]` means logic 0, neither means X (both is invalid and never
+/// produced). Operations are plain per-word bitwise expressions over
+/// fixed-size arrays, so the compiler unrolls and vectorises them on stable
+/// Rust. The kernel runs at `W = LANE_WORDS`; the dense oracle and the
+/// narrow differential runs use `W = 1`, 64 lanes in one `u64` per plane.
 ///
 /// Lane masks (detection, injection, full-batch masks) are `[u64; W]`
 /// arrays with the same word/bit addressing.
@@ -404,8 +233,7 @@ impl<const W: usize> std::ops::Not for WideWord<W> {
     }
 }
 
-/// Free helpers over `[u64; W]` lane masks (the wide analogue of plain
-/// `u64` masks in the 64-lane engine).
+/// Free helpers over `[u64; W]` lane masks.
 pub(crate) mod mask {
     /// Mask covering lanes `0..n`.
     #[inline]
@@ -489,60 +317,20 @@ pub(crate) mod mask {
     }
 }
 
-impl fmt::Display for Word3 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in (0..64).rev() {
-            write!(f, "{}", self.lane(i))?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const ALL: [Logic; 3] = [Logic::Zero, Logic::One, Logic::X];
 
-    /// Every lane-wise op must agree with the scalar op in every lane.
-    #[test]
-    fn word_ops_match_scalar_ops() {
-        for a in ALL {
-            for b in ALL {
-                let (wa, wb) = (Word3::broadcast(a), Word3::broadcast(b));
-                assert_eq!(wa.and(wb).lane(17), a.and(b), "{a} and {b}");
-                assert_eq!(wa.or(wb).lane(17), a.or(b), "{a} or {b}");
-                assert_eq!(wa.xor(wb).lane(17), a.xor(b), "{a} xor {b}");
-                assert_eq!(wa.not().lane(17), a.not(), "not {a}");
-                for s in ALL {
-                    let ws = Word3::broadcast(s);
-                    assert_eq!(ws.mux(wa, wb).lane(17), s.mux(a, b), "mux({s},{a},{b})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lanes_are_independent() {
-        let mut w = Word3::ALL_X;
-        w.set_lane(0, Logic::Zero);
-        w.set_lane(63, Logic::One);
-        assert_eq!(w.lane(0), Logic::Zero);
-        assert_eq!(w.lane(1), Logic::X);
-        assert_eq!(w.lane(63), Logic::One);
-        w.set_lane(0, Logic::One);
-        assert_eq!(w.lane(0), Logic::One);
-        assert_eq!(w.v0 & 1, 0, "set_lane clears the old bit");
-    }
-
     #[test]
     fn forcing_masks_inject_stuck_values() {
-        let w = Word3::broadcast(Logic::One);
-        let f = w.force_zero(0b1010);
+        let w = WideWord::<1>::broadcast(Logic::One);
+        let f = w.force_zero(&[0b1010]);
         assert_eq!(f.lane(1), Logic::Zero);
         assert_eq!(f.lane(3), Logic::Zero);
         assert_eq!(f.lane(0), Logic::One);
-        let g = Word3::broadcast(Logic::X).force_one(0b1);
+        let g = WideWord::<1>::broadcast(Logic::X).force_one(&[0b1]);
         assert_eq!(g.lane(0), Logic::One);
         assert_eq!(g.lane(1), Logic::X);
     }
@@ -551,16 +339,16 @@ mod tests {
     fn conflict_mask_matches_scalar_conflicts() {
         for a in ALL {
             for b in ALL {
-                let m = Word3::broadcast(a).conflict_mask(Word3::broadcast(b));
+                let m = WideWord::<1>::broadcast(a).conflict_mask(&WideWord::broadcast(b));
                 let expect = if a.conflicts(b) { !0u64 } else { 0 };
-                assert_eq!(m, expect, "{a} vs {b}");
+                assert_eq!(m, [expect], "{a} vs {b}");
             }
         }
     }
 
     #[test]
     fn not_operator_matches_method() {
-        let mut w = Word3::broadcast(Logic::One);
+        let mut w = WideWord::<1>::broadcast(Logic::One);
         w.set_lane(5, Logic::X);
         w.set_lane(9, Logic::Zero);
         assert_eq!(!w, w.not());
@@ -568,19 +356,9 @@ mod tests {
     }
 
     #[test]
-    fn display_renders_all_lanes() {
-        let mut w = Word3::broadcast(Logic::Zero);
-        w.set_lane(0, Logic::One);
-        w.set_lane(1, Logic::X);
-        let s = w.to_string();
-        assert_eq!(s.len(), 64);
-        assert!(s.ends_with("x1"), "lane 0 prints last: {s}");
-    }
-
-    #[test]
     fn binary_mask_excludes_x() {
-        assert_eq!(Word3::broadcast(Logic::X).binary_mask(), 0);
-        assert_eq!(Word3::broadcast(Logic::One).binary_mask(), !0);
+        assert_eq!(WideWord::<1>::broadcast(Logic::X).binary_mask(), [0]);
+        assert_eq!(WideWord::<1>::broadcast(Logic::One).binary_mask(), [!0]);
     }
 
     /// Wide-word ops must agree with the scalar ops in a lane of every

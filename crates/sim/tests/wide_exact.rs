@@ -3,10 +3,10 @@
 //! Three engines must agree fault-for-fault and time-unit-for-time-unit on
 //! every embedded benchmark:
 //!
-//! * `extend`           — the production wide kernel (`LANE_WORDS` words);
-//! * `extend_narrow`    — the same kernel compiled at one word per lane
-//!                        (the old 64-lane geometry);
-//! * `extend_reference` — the dense scalar-per-word oracle.
+//! * `extend` — the production wide kernel (`LANE_WORDS` words);
+//! * `extend_narrow` — the same kernel compiled at one word per lane (64
+//!   lanes);
+//! * `extend_reference` — the dense oracle, every gate at every time unit.
 //!
 //! Agreement covers detection verdicts, first-detection times, the
 //! fault-free machine state, and the per-fault faulty machine states that
@@ -134,7 +134,7 @@ fn engines_agree_with_multiple_threads() {
     let faults = FaultList::collapsed(&c);
     set_sim_threads(Some(4));
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        cross_check("s1423@4t", &faults, 77, 40)
+        cross_check("s1423@4t", &faults, 77, 40);
     }));
     set_sim_threads(Some(1));
     if let Err(p) = result {
