@@ -582,16 +582,7 @@ fn step_states(
     bstate: &mut [Logic],
 ) {
     frame.inject(Some(fault), ODD_LANES);
-    for (pos, &v) in inputs.iter().enumerate() {
-        frame.set_input(pos, WideWord::broadcast(v));
-    }
-    set_states(frame, gstate, bstate);
-    frame.eval();
-    for (ff, (g, b)) in gstate.iter_mut().zip(bstate.iter_mut()).enumerate() {
-        let w = frame.next_state(ff);
-        *g = w.lane(0);
-        *b = w.lane(1);
-    }
+    frame.step_pair(inputs, gstate, bstate);
 }
 
 #[cfg(test)]

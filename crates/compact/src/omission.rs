@@ -155,6 +155,12 @@ fn omission_pass(
     let mut o = 0usize;
     while o < len {
         ctl.check()?;
+        if threads > 1 {
+            // Fold the kept vectors logged since the last wave into every
+            // open batch here, once, rather than in every worker's clone,
+            // where the work would be thrown away with the clone.
+            ck.catch_up(&mut prefix);
+        }
         if prefix.all_detected() {
             // The kept prefix alone covers every target: every
             // remaining candidate trivially succeeds.
@@ -173,7 +179,7 @@ fn omission_pass(
         let wave = threads.min(len - o);
         let mut verdicts: Vec<Option<Result<(), usize>>> = if wave <= 1 {
             let _trial = pass_span.child_indexed(SpanKind::Trial, "trial", o as u64);
-            vec![checked_trial(&ck, &prefix, o, first_batch)]
+            vec![checked_trial(&ck, &mut prefix, o, first_batch)]
         } else {
             let next = AtomicUsize::new(0);
             let mut verdicts = vec![None; wave];
@@ -194,7 +200,7 @@ fn omission_pass(
                                 }
                                 let _trial =
                                     pass_obs.span_indexed(SpanKind::Trial, "trial", (o + i) as u64);
-                                out.push((i, checked_trial(ck, &p, o + i, first_batch)));
+                                out.push((i, checked_trial(ck, &mut p, o + i, first_batch)));
                             }
                             out
                         })
@@ -255,10 +261,12 @@ fn omission_pass(
 
 /// A checkpointed trial, checking batch `first_batch` first, with panic
 /// confinement: `None` means the trial panicked (worker bug or injected
-/// fault) and its verdict must be recomputed on the oracle path.
+/// fault) and its verdict must be recomputed on the oracle path. The
+/// batches the trial caught up stay caught up in `prefix`; a panic leaves
+/// each batch either caught up or as it was.
 fn checked_trial(
     ck: &TrialCheckpoints<'_>,
-    prefix: &PrefixState,
+    prefix: &mut PrefixState,
     candidate: usize,
     first_batch: usize,
 ) -> Option<Result<(), usize>> {

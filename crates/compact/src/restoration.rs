@@ -17,13 +17,14 @@
 //!
 //! * [`restoration`] and [`restoration_resumable`] — the production
 //!   engine. Each restoration episode starts with one *recorded pass* of
-//!   [`SingleFaultSim`] over the kept subsequence, which doubles as the
-//!   covered check and caches the (good, faulty) flip-flop state pair at
-//!   every kept position. A doubling-chunk probe then resumes from the
-//!   cached state just before the restored window instead of
-//!   re-simulating the shared prefix, and fails early in the kept tail as
-//!   soon as its state pair converges back onto the recorded pass (whose
-//!   remainder is known not to detect).
+//!   the fault over the kept subsequence, the fault-free and faulty
+//!   machines side by side on the compiled frame ([`FrameSim::step_pair`]),
+//!   which doubles as the covered check and caches the (good, faulty)
+//!   flip-flop state pair at every kept position. A doubling-chunk probe
+//!   then resumes from the cached state just before the restored window
+//!   instead of re-simulating the shared prefix, and fails early in the
+//!   kept tail as soon as its state pair converges back onto the recorded
+//!   pass (whose remainder is known not to detect).
 //! * [`restoration_reference`] — the original implementation: one full
 //!   [`single_fault_detects`] scan per probe. Kept as the bit-exact oracle
 //!   for the differential test suite; production code should call
@@ -33,54 +34,68 @@ use limscan_fault::{Fault, FaultList};
 use limscan_harness::{CancelToken, StopReason};
 use limscan_netlist::Circuit;
 use limscan_obs::{Metric, ObsHandle, SpanKind};
-use limscan_sim::{single_fault_detects, Logic, SeqFaultSim, SingleFaultSim, TestSequence};
+use limscan_sim::{single_fault_detects, FrameSim, Logic, SeqFaultSim, TestSequence};
 
 use crate::Compacted;
 
-/// One recorded [`SingleFaultSim`] pass over the kept subsequence: the
+/// One recorded single-fault pass over the kept subsequence: the
 /// detection-prefix cache shared by every probe of a restoration episode.
 ///
-/// `states[k]` is the (good, faulty) flip-flop state pair *before* kept
-/// position `k`, for `k in 0..=kept_idx.len()`; the states are only stored
-/// when the pass detects nothing, which is exactly when probes happen.
-struct RecordedPass<'a> {
-    circuit: &'a Circuit,
-    fault: Fault,
-    sequence: &'a TestSequence,
+/// The fault-free and faulty machines run side by side in lanes 0 and 1 of
+/// a [`FrameSim`] ([`FrameSim::step_pair`]) that the pass holds for the
+/// episode, with the episode's fault injected into lane 1. `states` holds
+/// the (good, faulty) flip-flop state pair *before* kept position `k`, for
+/// `k in 0..=kept_idx.len()`, `2 * n_ff` values each; the pairs are only
+/// stored when the pass detects nothing, which is exactly when probes
+/// happen.
+struct RecordedPass<'f, 'c> {
+    frame: &'f mut FrameSim<'c>,
+    sequence: &'f TestSequence,
     kept_idx: Vec<usize>,
-    states: Vec<(Vec<Logic>, Vec<Logic>)>,
+    n_ff: usize,
+    states: Vec<Logic>,
     detected: bool,
 }
 
-impl<'a> RecordedPass<'a> {
-    /// Simulates `fault` over the vectors of `sequence` selected by `keep`,
-    /// recording the state pair at every kept position.
+impl<'f, 'c> RecordedPass<'f, 'c> {
+    /// Injects `fault` into lane 1 of `frame` and simulates it over the
+    /// vectors of `sequence` selected by `keep`, recording the state pair
+    /// at every kept position.
     fn record(
-        circuit: &'a Circuit,
+        frame: &'f mut FrameSim<'c>,
         fault: Fault,
-        sequence: &'a TestSequence,
+        sequence: &'f TestSequence,
         keep: &[bool],
     ) -> Self {
+        frame.inject(Some(fault), 0b10);
         let kept_idx: Vec<usize> = (0..sequence.len()).filter(|&p| keep[p]).collect();
-        let mut sim = SingleFaultSim::new(circuit, fault);
-        let mut states = Vec::with_capacity(kept_idx.len() + 1);
+        let n_ff = frame.circuit().dffs().len();
+        let mut states = Vec::with_capacity((kept_idx.len() + 1) * 2 * n_ff);
+        let (mut good, mut bad) = (vec![Logic::X; n_ff], vec![Logic::X; n_ff]);
         let mut detected = false;
-        states.push((sim.good_state().to_vec(), sim.bad_state().to_vec()));
+        states.extend_from_slice(&good);
+        states.extend_from_slice(&bad);
         for &p in &kept_idx {
-            if sim.step(sequence.vector(p)) {
+            if frame.step_pair(sequence.vector(p), &mut good, &mut bad) {
                 detected = true;
                 break; // states are never consulted once detection is known
             }
-            states.push((sim.good_state().to_vec(), sim.bad_state().to_vec()));
+            states.extend_from_slice(&good);
+            states.extend_from_slice(&bad);
         }
         RecordedPass {
-            circuit,
-            fault,
+            frame,
             sequence,
             kept_idx,
+            n_ff,
             states,
             detected,
         }
+    }
+
+    /// The recorded (good, faulty) state pair before kept position `k`.
+    fn pair(&self, k: usize) -> (&[Logic], &[Logic]) {
+        self.states[2 * k * self.n_ff..2 * (k + 1) * self.n_ff].split_at(self.n_ff)
     }
 
     /// Does the kept subsequence extended by the restored window
@@ -90,18 +105,20 @@ impl<'a> RecordedPass<'a> {
     /// after the caller set `keep[lo..=t_f] = true`, but resumes from the
     /// cached state pair at the window boundary and exits the kept tail
     /// early once its state pair re-converges onto the recorded pass.
-    fn probe(&self, lo: usize, t_f: usize) -> bool {
+    fn probe(&mut self, lo: usize, t_f: usize) -> bool {
         debug_assert!(!self.detected);
         // Kept positions < lo are untouched by this episode, so the cached
         // state just before the first of them at-or-after `lo` is exact.
         let k0 = self.kept_idx.partition_point(|&p| p < lo);
-        let (good, bad) = &self.states[k0];
-        let mut sim = SingleFaultSim::new(self.circuit, self.fault);
-        sim.set_states(good, bad);
+        let (good, bad) = self.pair(k0);
+        let (mut good, mut bad) = (good.to_vec(), bad.to_vec());
         // The restored window: every original vector in [lo, t_f] is kept
         // (this probe's chunk plus the chunks of earlier iterations).
         for p in lo..=t_f {
-            if sim.step(self.sequence.vector(p)) {
+            if self
+                .frame
+                .step_pair(self.sequence.vector(p), &mut good, &mut bad)
+            {
                 return true;
             }
         }
@@ -111,11 +128,13 @@ impl<'a> RecordedPass<'a> {
         // nothing from here on.
         let k_tail = self.kept_idx.partition_point(|&p| p <= t_f);
         for (k, &p) in self.kept_idx.iter().enumerate().skip(k_tail) {
-            let (rec_good, rec_bad) = &self.states[k];
-            if sim.good_state() == &rec_good[..] && sim.bad_state() == &rec_bad[..] {
+            if self.pair(k) == (&good[..], &bad[..]) {
                 return false;
             }
-            if sim.step(self.sequence.vector(p)) {
+            if self
+                .frame
+                .step_pair(self.sequence.vector(p), &mut good, &mut bad)
+            {
                 return true;
             }
         }
@@ -166,11 +185,13 @@ pub fn restoration_resumable(
     obs: &ObsHandle,
     ctl: &CancelToken,
 ) -> Result<Compacted, StopReason> {
-    let report = {
+    // The probes step a frame that shares this simulator's compiled
+    // circuit.
+    let (report, mut frame) = {
         let mut sim = SeqFaultSim::new(circuit, faults);
         sim.set_obs(obs);
         sim.extend(sequence);
-        sim.report()
+        (sim.report(), sim.frame_sim())
     };
     let mut targets: Vec<(u32, limscan_fault::FaultId)> = faults
         .ids()
@@ -198,7 +219,7 @@ pub fn restoration_resumable(
         episode.handle().counter(Metric::RestorationEpisodes, 1);
         // One recorded pass per episode: the covered check and the probe
         // cache in a single simulation of the kept subsequence.
-        let rec = RecordedPass::record(circuit, fault, sequence, &keep);
+        let mut rec = RecordedPass::record(&mut frame, fault, sequence, &keep);
         if rec.detected {
             covered[i] = true;
             continue; // already covered by vectors restored for harder faults

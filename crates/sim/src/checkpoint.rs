@@ -31,6 +31,16 @@
 //! trials' first batch (fail-first order), so a failing trial usually
 //! stops after one batch.
 //!
+//! Trials start from the kept prefix ([`PrefixState`]). Keeping a vector
+//! ([`TrialCheckpoints::advance`]) costs one fault-free step, which is
+//! logged; a batch folds the logged vectors into its per-lane states when
+//! a trial first reaches it, in the stepper the trial then continues with,
+//! so the batches fail-first trials do not reach cost nothing until one
+//! does. [`TrialCheckpoints::catch_up`] folds the log into every open
+//! batch at once. The log keeps only what the batch furthest behind still
+//! needs: at most one fault-free row and state per kept vector, no more
+//! than the recorded trace.
+//!
 //! The alignment is sound because omission only ever drops vectors to the
 //! *left* of the trial point: the vectors applied after a trial at `t` are
 //! exactly the recorded vectors `t+1..len`, so recorded snapshots and
@@ -48,7 +58,7 @@ use limscan_fault::{FaultId, FaultList};
 use limscan_netlist::Circuit;
 use limscan_obs::{Metric, ObsHandle};
 
-use crate::engine::{with_kernel, BatchStepper, Topology};
+use crate::engine::{with_kernel, BatchStepper, KernelScratch, Topology};
 use crate::logic::Logic;
 use crate::parallel::{mask, WideWord, LANES, LANE_WORDS};
 use crate::sequence::TestSequence;
@@ -81,7 +91,7 @@ struct BatchRec {
     future_conflicts: Vec<LaneMask>,
 }
 
-/// Per-thread scratch for [`TrialCheckpoints::advance`] and
+/// Per-thread scratch for the fault-free tail of a
 /// [`TrialCheckpoints::trial`]; grows to the largest trial seen and is then
 /// allocation-free.
 #[derive(Default)]
@@ -91,9 +101,6 @@ struct TrialScratch {
     rows: Vec<Logic>,
     /// Fresh fault-free states for the same window (`(fresh + 1) × n_ff`).
     states: Vec<Logic>,
-    /// One fault-free row / next state for `advance`.
-    row: Vec<Logic>,
-    next: Vec<Logic>,
     /// Intra-gate temp slots for the scalar flat evaluation.
     tmp: Vec<Logic>,
 }
@@ -126,36 +133,58 @@ fn eval_row(
     }
 }
 
-/// The machine state of an omission pass's kept prefix: the fault-free
-/// state plus every target batch's absolute per-lane flip-flop states and
-/// detection mask. Cheap to clone, which is what lets speculative trials
-/// fan out across threads.
+/// One target batch's share of a [`PrefixState`].
+#[derive(Clone)]
+struct BatchPrefix {
+    /// Absolute per-lane state word of every flip-flop after the first
+    /// `pos` kept vectors. Stale once every lane is detected (the batch is
+    /// then skipped for good).
+    lanes: Vec<Wide>,
+    /// Lanes the first `pos` kept vectors detect.
+    detected: LaneMask,
+    /// Kept vectors folded into `lanes` and `detected`.
+    pos: usize,
+}
+
+/// The machine state of an omission pass's kept prefix.
+///
+/// [`TrialCheckpoints::advance`] only logs each kept vector's fault-free
+/// row and next state; a target batch folds the logged vectors into its
+/// per-lane flip-flop states and detection mask when a trial first
+/// reaches it ([`TrialCheckpoints::trial`]) or when
+/// [`TrialCheckpoints::catch_up`] folds them into every batch. The log
+/// keeps only what the batch furthest behind still needs. Cheap to clone
+/// once caught up, which is what lets speculative trials fan out across
+/// threads.
 #[derive(Clone)]
 pub struct PrefixState {
-    good: Vec<Logic>,
-    /// Per batch: absolute per-lane state word of every flip-flop. Stale
-    /// for batches whose lanes are all detected (they are skipped).
-    lanes: Vec<Vec<Wide>>,
-    detected: Vec<LaneMask>,
+    /// Number of kept vectors.
+    len: usize,
+    /// Position of the first logged kept vector.
+    base: usize,
+    /// Fault-free net values of kept vectors `base..len`, `n_nets` each.
+    rows: Vec<Logic>,
+    /// Fault-free states before kept vectors `base..=len`, `n_ff` each; the
+    /// last one is the prefix's current fault-free state.
+    states: Vec<Logic>,
+    batches: Vec<BatchPrefix>,
+    /// Lanes detected by the batches' folded prefixes.
     n_detected: usize,
     total_lanes: usize,
 }
 
 impl PrefixState {
-    /// Whether the prefix alone already detects every target.
+    /// Whether the prefix alone is known to detect every target. Exact
+    /// once every batch has caught up ([`TrialCheckpoints::catch_up`]);
+    /// before that it can say `false` for a prefix that does.
     pub fn all_detected(&self) -> bool {
         self.n_detected == self.total_lanes
-    }
-
-    /// Number of target lanes the prefix detects.
-    pub fn detected_lanes(&self) -> usize {
-        self.n_detected
     }
 }
 
 /// One recorded omission pass: checkpoints every trial can restart from.
 ///
-/// Recorded once per pass by [`record`](Self::record); [`advance`] folds
+/// Recorded once per pass by [`record`](Self::record); [`advance`] logs
 /// kept vectors into a [`PrefixState`] and [`trial`] decides a candidate
 /// omission with early exits. See the module docs for the design.
 ///
@@ -176,9 +205,10 @@ pub struct TrialCheckpoints<'a> {
     good_states: Vec<Logic>,
     batches: Vec<BatchRec>,
     total_lanes: usize,
-    /// Observability handle; no-op unless [`set_obs`](Self::set_obs) was
-    /// called. Trials emit through it from worker threads, so sinks must
-    /// tolerate concurrency (they are required to be `Sync`).
+    /// Observability handle; no-op unless recorded through
+    /// [`record_observed`](Self::record_observed). Trials emit through it
+    /// from worker threads, so sinks must tolerate concurrency (they are
+    /// required to be `Sync`).
     obs: ObsHandle,
 }
 
@@ -263,7 +293,7 @@ impl<'a> TrialCheckpoints<'a> {
                         snapshots[(t + 1) / stride] = snap;
                     }
                 }
-                stepper.finish();
+                drop(stepper);
                 let mut future_conflicts: Vec<LaneMask> = vec![[0; LANE_WORDS]; len + 1];
                 for t in (0..len).rev() {
                     let mut f = conflicts[t];
@@ -313,12 +343,6 @@ impl<'a> TrialCheckpoints<'a> {
         ck
     }
 
-    /// Attach (or replace) the observability scope used by
-    /// [`advance`](Self::advance) and [`trial`](Self::trial).
-    pub fn set_obs(&mut self, obs: &ObsHandle) {
-        self.obs = obs.clone();
-    }
-
     /// Number of vectors in the recorded sequence.
     pub fn len(&self) -> usize {
         self.len
@@ -342,13 +366,19 @@ impl<'a> TrialCheckpoints<'a> {
     /// A prefix at time 0 (all-X states, nothing detected).
     pub fn initial_prefix(&self) -> PrefixState {
         PrefixState {
-            good: vec![Logic::X; self.n_ff],
-            lanes: self
+            len: 0,
+            base: 0,
+            rows: Vec::new(),
+            states: vec![Logic::X; self.n_ff],
+            batches: self
                 .batches
                 .iter()
-                .map(|_| vec![Wide::broadcast(Logic::X); self.n_ff])
+                .map(|_| BatchPrefix {
+                    lanes: vec![Wide::broadcast(Logic::X); self.n_ff],
+                    detected: [0; LANE_WORDS],
+                    pos: 0,
+                })
                 .collect(),
-            detected: vec![[0; LANE_WORDS]; self.batches.len()],
             n_detected: 0,
             total_lanes: self.total_lanes,
         }
@@ -364,72 +394,158 @@ impl<'a> TrialCheckpoints<'a> {
         &self.good_states[t * self.n_ff..(t + 1) * self.n_ff]
     }
 
-    /// Applies original vector `t` to the prefix (the vector was kept).
-    ///
-    /// Batches whose lanes are all detected are skipped — their state can
-    /// no longer influence any trial verdict.
-    // NOTE: `advance` deliberately emits no counter. Speculative-wave
-    // workers replay it to rebuild candidate prefixes, so any count here
-    // would vary with the thread fan-out and break the determinism
-    // guarantee of `Metric::VectorsSimulated`.
+    /// The logged fault-free net values of kept vector `k` of `prefix`.
+    #[inline]
+    fn log_row<'p>(&self, prefix: &'p PrefixState, k: usize) -> &'p [Logic] {
+        let i = k - prefix.base;
+        &prefix.rows[i * self.n_nets..(i + 1) * self.n_nets]
+    }
+
+    /// The logged fault-free state before kept vector `k` of `prefix`;
+    /// `k == prefix.len` gives the prefix's current state.
+    #[inline]
+    fn log_state<'p>(&self, prefix: &'p PrefixState, k: usize) -> &'p [Logic] {
+        let i = k - prefix.base;
+        &prefix.states[i * self.n_ff..(i + 1) * self.n_ff]
+    }
+
+    /// Whether batch `b` of `prefix` still has undetected lanes.
+    #[inline]
+    fn is_open(&self, prefix: &PrefixState, b: usize) -> bool {
+        prefix.batches[b].detected != self.batches[b].full_mask
+    }
+
+    /// Applies original vector `t` to the prefix (the vector was kept):
+    /// one fault-free step, logged for the batches to fold in later. The
+    /// log first drops the entries every open batch has already folded.
+    // NOTE: neither `advance` nor the catch-up emits a counter.
+    // Speculative-wave workers replay both to rebuild candidate prefixes,
+    // so any count here would vary with the thread fan-out and break the
+    // determinism guarantee of `Metric::VectorsSimulated`.
     pub fn advance(&self, prefix: &mut PrefixState, t: usize) {
         debug_assert!(t < self.len);
+        self.trim(prefix);
+        let (n_nets, n_ff) = (self.n_nets, self.n_ff);
+        let row_at = prefix.rows.len();
+        prefix.rows.resize(row_at + n_nets, Logic::X);
+        let state_at = prefix.states.len();
+        prefix.states.resize(state_at + n_ff, Logic::X);
+        let (head, next) = prefix.states.split_at_mut(state_at);
         SCRATCH.with(|cell| {
             let sc = &mut *cell.borrow_mut();
-            sc.row.resize(self.n_nets, Logic::X);
-            sc.next.resize(self.n_ff, Logic::X);
             sc.tmp.resize(self.topo.flat.n_temps, Logic::X);
             eval_row(
                 &self.topo,
                 self.seq.vector(t),
-                &prefix.good,
-                &mut sc.row,
-                &mut sc.next,
+                &head[state_at - n_ff..],
+                &mut prefix.rows[row_at..],
+                next,
                 &mut sc.tmp,
             );
-            with_kernel::<LANE_WORDS, _>(|ks| {
-                for (b, rec) in self.batches.iter().enumerate() {
-                    if prefix.detected[b] == rec.full_mask {
-                        continue;
-                    }
-                    let mut stepper = BatchStepper::begin(
-                        self.circuit,
-                        &self.topo,
-                        self.targets,
-                        &rec.lanes,
-                        ks,
-                        &prefix.good,
-                        |ff| prefix.lanes[b][ff],
-                    );
-                    let m = stepper.step(&sc.row, &sc.next);
-                    stepper.write_final_states(&sc.next);
-                    stepper.finish();
-                    let fresh = mask::and_not(&m, &prefix.detected[b]);
-                    mask::or_assign(&mut prefix.detected[b], &m);
-                    prefix.n_detected += mask::count(&fresh);
-                    prefix.lanes[b].copy_from_slice(&ks.final_states);
-                }
-            });
-            prefix.good.copy_from_slice(&sc.next);
         });
+        prefix.len += 1;
+    }
+
+    /// Folds every logged vector into every batch that still has
+    /// undetected lanes, then empties the log. Afterwards
+    /// [`PrefixState::all_detected`] is exact and the prefix is cheap to
+    /// clone.
+    pub fn catch_up(&self, prefix: &mut PrefixState) {
+        with_kernel::<LANE_WORDS, _>(|ks| {
+            for b in 0..self.batches.len() {
+                if prefix.batches[b].pos < prefix.len {
+                    drop(self.resume(prefix, b, ks));
+                }
+            }
+        });
+        self.trim(prefix);
+    }
+
+    /// Drops the log entries that every open batch has folded in.
+    fn trim(&self, prefix: &mut PrefixState) {
+        let oldest = (0..self.batches.len())
+            .filter(|&b| self.is_open(prefix, b))
+            .map(|b| prefix.batches[b].pos)
+            .min()
+            .unwrap_or(prefix.len);
+        let drop_n = oldest - prefix.base;
+        if drop_n > 0 {
+            prefix.rows.drain(..drop_n * self.n_nets);
+            prefix.states.drain(..drop_n * self.n_ff);
+            prefix.base = oldest;
+        }
+    }
+
+    /// Begins batch `b` at its folded position and steps it through the
+    /// kept vectors logged since, stopping early once every lane is
+    /// detected. The batch's lanes, detection mask and position are
+    /// committed together after the loop, so a panic mid-way leaves the
+    /// batch as it was. Returns the stepper at the end of the prefix for a
+    /// trial to continue with, or `None` when the prefix detects every lane
+    /// of the batch.
+    fn resume<'k>(
+        &'k self,
+        prefix: &mut PrefixState,
+        b: usize,
+        ks: &'k mut KernelScratch<LANE_WORDS>,
+    ) -> Option<BatchStepper<'k, 'k, LANE_WORDS>> {
+        if !self.is_open(prefix, b) {
+            return None;
+        }
+        let rec = &self.batches[b];
+        let from = prefix.batches[b].pos;
+        let lanes = &prefix.batches[b].lanes;
+        let mut stepper = BatchStepper::begin(
+            self.circuit,
+            &self.topo,
+            self.targets,
+            &rec.lanes,
+            ks,
+            self.log_state(prefix, from),
+            |ff| lanes[ff],
+        );
+        if from == prefix.len {
+            return Some(stepper);
+        }
+        let mut detected = prefix.batches[b].detected;
+        for k in from..prefix.len {
+            let m = stepper.step(self.log_row(prefix, k), self.log_state(prefix, k + 1));
+            mask::or_assign(&mut detected, &m);
+            if detected == rec.full_mask {
+                break;
+            }
+        }
+        let open = detected != rec.full_mask;
+        let bp = &mut prefix.batches[b];
+        if open {
+            // The prefix's current fault-free state, the last one logged.
+            let good = &prefix.states[prefix.states.len() - self.n_ff..];
+            stepper.copy_states(good, &mut bp.lanes);
+        }
+        prefix.n_detected += mask::count(&mask::and_not(&detected, &bp.detected));
+        bp.detected = detected;
+        bp.pos = prefix.len;
+        open.then_some(stepper)
     }
 
     /// Decides the omission of original vector `skip`: does applying the
     /// original vectors `skip+1..len` after `prefix` detect every target?
     ///
     /// Batches are checked from batch `first` on, wrapping around; the
-    /// first batch that loses a target ends the trial. Returns `Ok(())`
-    /// when every target stays detected and `Err(b)` naming the batch `b`
-    /// that lost one. The order changes which failing batch is named and
-    /// what the trial costs, never whether it fails.
+    /// first batch that loses a target ends the trial. Each batch the trial
+    /// reaches first folds the prefix's logged vectors in, in the stepper
+    /// the trial then continues with, and keeps them in `prefix`. Returns
+    /// `Ok(())` when every target stays detected and `Err(b)` naming the
+    /// batch `b` that lost one. The order changes which failing batch is
+    /// named and what the trial costs, never whether it fails.
     ///
     /// Exact — bit-identical to simulating the shortened sequence from
     /// scratch — but usually far cheaper thanks to the early-success and
     /// per-lane convergence exits described in the module docs.
-    pub fn trial(&self, prefix: &PrefixState, skip: usize, first: usize) -> Result<(), usize> {
+    pub fn trial(&self, prefix: &mut PrefixState, skip: usize, first: usize) -> Result<(), usize> {
         debug_assert!(skip < self.len);
         self.obs.counter(Metric::TrialsAttempted, 1);
-        if prefix.n_detected == self.total_lanes {
+        if prefix.all_detected() {
             return Ok(()); // the prefix alone already covers every target
         }
         let tail_start = skip + 1;
@@ -448,7 +564,7 @@ impl<'a> TrialCheckpoints<'a> {
             // --- Fault-free tail, stopped as soon as it re-joins the
             // recorded trajectory: from `g_conv` on, rows and states come
             // from the recording.
-            sc.states[..n_ff].copy_from_slice(&prefix.good);
+            sc.states[..n_ff].copy_from_slice(self.log_state(prefix, prefix.len));
             let mut g_conv = self.len;
             let mut fresh = 0usize;
             while tail_start + fresh < self.len {
@@ -474,22 +590,13 @@ impl<'a> TrialCheckpoints<'a> {
             with_kernel::<LANE_WORDS, _>(|ks| {
                 let n = self.batches.len();
                 for b in (first..first + n).map(|i| i % n) {
+                    let Some(mut stepper) = self.resume(prefix, b, ks) else {
+                        continue; // the prefix detects every lane
+                    };
                     let rec = &self.batches[b];
                     // Lanes whose verdict is known: detected so far, or
                     // back on a recorded future that detects them.
-                    let mut settled = prefix.detected[b];
-                    if settled == rec.full_mask {
-                        continue;
-                    }
-                    let mut stepper = BatchStepper::begin(
-                        self.circuit,
-                        &self.topo,
-                        self.targets,
-                        &rec.lanes,
-                        ks,
-                        &prefix.good,
-                        |ff| prefix.lanes[b][ff],
-                    );
+                    let mut settled = prefix.batches[b].detected;
                     let mut holds = false;
                     for u in tail_start..self.len {
                         let (row, next): (&[Logic], &[Logic]) = if u >= g_conv {
@@ -530,7 +637,6 @@ impl<'a> TrialCheckpoints<'a> {
                             }
                         }
                     }
-                    stepper.finish();
                     if !holds {
                         return Err(b);
                     }
@@ -573,20 +679,53 @@ mod tests {
         (circuit, targets, seq)
     }
 
-    /// Checks `trial(prefix, c, first)` for every candidate `c` and every
-    /// `first` against a from-scratch run of the kept prefix plus the tail.
-    /// With `greedy`, the prefix drops every candidate whose trial held, as
-    /// an omission pass does; otherwise it keeps every vector. A failing
-    /// trial must name the first batch, in order from `first`, that the
-    /// from-scratch run shows losing a target. Returns how many candidates
-    /// held and how many failed.
-    fn check_every_trial(ck: &TrialCheckpoints<'_>, greedy: bool) -> (usize, usize) {
+    /// Which first batches [`check_every_trial`] tries for each candidate.
+    #[derive(Clone, Copy)]
+    enum Firsts {
+        /// Every batch, so every trial reaches every batch.
+        All,
+        /// Only batch `(c / stretch) % n` for candidate `c`: one batch
+        /// stays hot for `stretch` candidates, and trials that fail before
+        /// reaching the others leave those cold while kept vectors pile
+        /// up in the log.
+        Hot { stretch: usize },
+    }
+
+    /// What a [`check_every_trial`] run exercised.
+    #[derive(Default)]
+    struct Exercised {
+        held: usize,
+        failed: usize,
+        /// The most logged vectors one batch folded in at once.
+        max_catch_up: usize,
+        /// Batches whose last open lane was detected while catching up.
+        detected_in_catch_up: usize,
+        /// Whether the log ever dropped entries.
+        trimmed: bool,
+    }
+
+    /// Checks `trial(prefix, c, first)` for every candidate `c`, from the
+    /// first batches `firsts` picks, against a from-scratch run of the kept
+    /// prefix plus the tail. With `greedy`, the prefix drops every
+    /// candidate whose trial held, as an omission pass does; otherwise it
+    /// keeps every vector. A failing trial must name the first batch, in
+    /// order from `first`, that the from-scratch run shows losing a target.
+    /// Every step also checks the log against the batches: it reaches back
+    /// to the batch furthest behind, and no further once a kept vector is
+    /// logged.
+    fn check_every_trial(ck: &TrialCheckpoints<'_>, greedy: bool, firsts: Firsts) -> Exercised {
         let (circuit, targets, seq) = (ck.circuit, ck.targets, ck.seq);
         let ids: Vec<FaultId> = targets.ids().collect();
         let n = ck.batches.len();
-        let (mut held, mut failed) = (0, 0);
+        let mut seen = Exercised::default();
         let mut keep = vec![true; ck.len()];
         let mut prefix = ck.initial_prefix();
+        let oldest_open = |p: &PrefixState| {
+            (0..n)
+                .filter(|&b| ck.is_open(p, b))
+                .map(|b| p.batches[b].pos)
+                .min()
+        };
         for c in 0..ck.len() {
             keep[c] = false;
             let report = SeqFaultSim::run(circuit, targets, &seq.select(&keep));
@@ -594,27 +733,60 @@ mod tests {
                 .chunks(LANES)
                 .map(|batch| batch.iter().any(|&id| !report.is_detected(id)))
                 .collect();
-            for first in 0..n {
+            let tried = match firsts {
+                Firsts::All => 0..n,
+                Firsts::Hot { stretch } => {
+                    let hot = (c / stretch) % n;
+                    hot..hot + 1
+                }
+            };
+            for first in tried {
+                let before: Vec<(usize, bool)> = (0..n)
+                    .map(|b| (prefix.batches[b].pos, ck.is_open(&prefix, b)))
+                    .collect();
                 let expected = (first..first + n).map(|i| i % n).find(|&b| losing[b]);
                 assert_eq!(
-                    ck.trial(&prefix, c, first),
+                    ck.trial(&mut prefix, c, first),
                     expected.map_or(Ok(()), Err),
                     "stride {}: candidate {c}, first batch {first}",
                     ck.stride
                 );
+                for (b, &(pos, open)) in before.iter().enumerate() {
+                    if open && prefix.batches[b].pos > pos {
+                        seen.max_catch_up = seen.max_catch_up.max(prefix.batches[b].pos - pos);
+                        if !ck.is_open(&prefix, b) {
+                            seen.detected_in_catch_up += 1;
+                        }
+                    }
+                }
             }
             let lost = losing.contains(&true);
             if lost {
-                failed += 1;
+                seen.failed += 1;
             } else {
-                held += 1;
+                seen.held += 1;
             }
             keep[c] = lost || !greedy;
             if keep[c] {
+                let oldest = oldest_open(&prefix).unwrap_or(prefix.len);
                 ck.advance(&mut prefix, c);
+                assert_eq!(prefix.base, oldest, "candidate {c}: log start");
+                seen.trimmed |= prefix.base > 0;
             }
+            assert!(oldest_open(&prefix).is_none_or(|pos| pos >= prefix.base));
+            assert_eq!(prefix.rows.len(), (prefix.len - prefix.base) * ck.n_nets);
+            assert_eq!(
+                prefix.states.len(),
+                (prefix.len - prefix.base + 1) * ck.n_ff
+            );
         }
-        (held, failed)
+        // Caught up, the prefix's detections are exact: the kept vectors
+        // run from scratch detect the same targets.
+        ck.catch_up(&mut prefix);
+        let kept = SeqFaultSim::run(circuit, targets, &seq.select(&keep));
+        assert_eq!(prefix.n_detected, kept.detected_count());
+        assert_eq!(prefix.all_detected(), kept.detected_count() == ids.len());
+        seen
     }
 
     /// Over `2 * LANES` targets: every trial checks three batches, in
@@ -625,10 +797,12 @@ mod tests {
         let ck = TrialCheckpoints::record(&circuit, &targets, &seq);
         assert_eq!((ck.stride, ck.batches.len()), (1, 3));
         for greedy in [false, true] {
-            let (held, failed) = check_every_trial(&ck, greedy);
+            let seen = check_every_trial(&ck, greedy, Firsts::All);
             assert!(
-                held > 0 && failed > 0,
-                "greedy {greedy}: {held} held, {failed} failed"
+                seen.held > 0 && seen.failed > 0,
+                "greedy {greedy}: {} held, {} failed",
+                seen.held,
+                seen.failed
             );
         }
     }
@@ -645,11 +819,89 @@ mod tests {
         );
         assert_eq!(ck.batches.len(), 3);
         for greedy in [false, true] {
-            let (held, failed) = check_every_trial(&ck, greedy);
+            let seen = check_every_trial(&ck, greedy, Firsts::All);
             assert!(
-                held > 0 && failed > 0,
-                "greedy {greedy}: {held} held, {failed} failed"
+                seen.held > 0 && seen.failed > 0,
+                "greedy {greedy}: {} held, {} failed",
+                seen.held,
+                seen.failed
             );
+        }
+    }
+
+    /// Trials that start at one hot batch for long stretches leave the
+    /// other batches cold, so a batch a trial reaches late folds many
+    /// logged vectors in at once, sometimes detects its last open lane
+    /// while doing so, and the log trims behind the batch furthest behind.
+    /// At stride 1 and above.
+    #[test]
+    fn cold_batches_catch_up_over_long_logs() {
+        let (circuit, targets, seq) = case("s382", 60, 0, false);
+        for budget in [SNAPSHOT_BUDGET, 64 << 10] {
+            let ck = TrialCheckpoints::record_with_budget(&circuit, &targets, &seq, budget);
+            assert_eq!(ck.batches.len(), 3);
+            for greedy in [false, true] {
+                let seen = check_every_trial(&ck, greedy, Firsts::Hot { stretch: 15 });
+                let what = format!("stride {}, greedy {greedy}", ck.stride);
+                assert!(seen.held > 0 && seen.failed > 0, "{what}");
+                assert!(seen.max_catch_up >= 8, "{what}: {}", seen.max_catch_up);
+                assert!(seen.detected_in_catch_up > 0, "{what}");
+                assert!(seen.trimmed, "{what}");
+            }
+        }
+    }
+
+    /// A batch abandoned after one step, as a trial that stops early or
+    /// unwinds leaves it, does not leak its divergences into the next user
+    /// of the thread's kernel scratch: a fault simulation on this thread
+    /// afterwards equals one on a fresh thread. Checked for a stepper
+    /// dropped normally and for one a panic unwinds through.
+    #[test]
+    fn an_abandoned_batch_leaves_the_kernel_scratch_clean() {
+        let (circuit, targets, seq) = case("s382", 40, 0, false);
+        let all = FaultList::collapsed(&circuit);
+        let fresh = std::thread::scope(|s| {
+            s.spawn(|| SeqFaultSim::run(&circuit, &all, &seq))
+                .join()
+                .expect("fresh thread")
+        });
+        let ck = TrialCheckpoints::record(&circuit, &targets, &seq);
+        let mut prefix = ck.initial_prefix();
+        for t in 0..20 {
+            ck.advance(&mut prefix, t);
+        }
+        ck.catch_up(&mut prefix);
+        let b = (0..ck.batches.len())
+            .find(|&b| ck.is_open(&prefix, b))
+            .expect("an open batch");
+        for unwind in [false, true] {
+            let abandon = || {
+                with_kernel::<LANE_WORDS, _>(|ks| {
+                    let lanes = &prefix.batches[b].lanes;
+                    let mut stepper = BatchStepper::begin(
+                        &circuit,
+                        &ck.topo,
+                        &targets,
+                        &ck.batches[b].lanes,
+                        ks,
+                        ck.log_state(&prefix, prefix.len),
+                        |ff| lanes[ff],
+                    );
+                    assert!(!stepper.ff_diff().is_empty(), "the prefix diverges");
+                    // Every vector so far was kept, so the prefix is on the
+                    // recorded fault-free trajectory.
+                    stepper.step(ck.good_row(20), ck.good_state_before(21));
+                    assert!(!unwind, "abandoned mid-batch");
+                })
+            };
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(abandon)).is_err();
+            assert_eq!(unwound, unwind);
+            let here = SeqFaultSim::run(&circuit, &all, &seq);
+            let differ = all
+                .ids()
+                .filter(|&id| here.detected_at(id) != fresh.detected_at(id))
+                .count();
+            assert_eq!(differ, 0, "unwind {unwind}: detection times differ");
         }
     }
 
@@ -668,7 +920,7 @@ mod tests {
             for budget in [SNAPSHOT_BUDGET, 1 << 10] {
                 let ck = TrialCheckpoints::record_with_budget(circuit, targets, seq, budget);
                 for greedy in [false, true] {
-                    check_every_trial(&ck, greedy);
+                    check_every_trial(&ck, greedy, Firsts::All);
                 }
             }
         }

@@ -564,7 +564,6 @@ pub(crate) fn run_batch<const W: usize>(
     if !early {
         stepper.write_final_states(trace.state_before(t1));
     }
-    stepper.finish();
     BatchOutcome { detected, times }
 }
 
@@ -576,6 +575,10 @@ pub(crate) fn run_batch<const W: usize>(
 /// every step. Word operations are lane-exact, so the per-step conflict
 /// masks and divergences are bit-identical to the dense reference engine
 /// regardless of the sparse/dense mode history.
+///
+/// Dropping the stepper returns the scratch to its quiescent state, so the
+/// next batch on the thread starts clean however this one ended: finished,
+/// abandoned after any step, or unwound by a panic.
 pub(crate) struct BatchStepper<'a, 'b, const W: usize> {
     topo: &'a Topology,
     s: &'b mut KernelScratch<W>,
@@ -602,9 +605,19 @@ impl<'a, 'b, const W: usize> BatchStepper<'a, 'b, W> {
         seed: impl Fn(usize) -> WideWord<W>,
     ) -> Self {
         s.ensure(circuit, topo);
+        // Built before the scratch is touched, so a panic below still
+        // resets it on drop.
+        let mut stepper = BatchStepper {
+            topo,
+            s,
+            n_comb: topo.gate_net.len(),
+            full_mask: mask::full::<W>(batch.len()),
+            dense: false,
+            all_comps: false,
+        };
+        let s = &mut *stepper.s;
         let flat = &topo.flat;
         s.inj.load(circuit, topo, faults, batch);
-        let full_mask = mask::full::<W>(batch.len());
 
         // Split the batch's injection sites by what they force each time
         // unit, and collect the components divergence can live in.
@@ -667,16 +680,8 @@ impl<'a, 'b, const W: usize> BatchStepper<'a, 'b, W> {
             }
         }
         s.active_comps.sort_unstable();
-        let all_comps = s.active_comps.len() == flat.n_comps;
-
-        BatchStepper {
-            topo,
-            s,
-            n_comb: topo.gate_net.len(),
-            full_mask,
-            dense: false,
-            all_comps,
-        }
+        stepper.all_comps = s.active_comps.len() == flat.n_comps;
+        stepper
     }
 
     /// Lane mask covering exactly the batch's faults.
@@ -991,18 +996,44 @@ impl<'a, 'b, const W: usize> BatchStepper<'a, 'b, W> {
     /// `end_state` overlaid with the sparse divergences — into
     /// [`KernelScratch::final_states`].
     pub(crate) fn write_final_states(&mut self, end_state: &[Logic]) {
-        for (ff, &good) in end_state.iter().enumerate() {
-            self.s.final_states[ff] = WideWord::broadcast(good);
-        }
-        for &(ffi, word) in &self.s.ff_diff {
-            self.s.final_states[ffi as usize] = word;
-        }
+        let s = &mut *self.s;
+        overlay_states(&s.ff_diff, end_state, &mut s.final_states);
     }
 
+    /// Writes the batch's absolute machine state after the last
+    /// [`step`](Self::step) into `out`: that step's fault-free next state
+    /// `good` overlaid with the sparse divergences.
+    pub(crate) fn copy_states(&self, good: &[Logic], out: &mut [WideWord<W>]) {
+        overlay_states(&self.s.ff_diff, good, out);
+    }
+}
+
+/// `out[ff]` = `broadcast(good[ff])`, then every sparse divergence on top.
+fn overlay_states<const W: usize>(
+    ff_diff: &[(u32, WideWord<W>)],
+    good: &[Logic],
+    out: &mut [WideWord<W>],
+) {
+    for (w, &g) in out.iter_mut().zip(good) {
+        *w = WideWord::broadcast(g);
+    }
+    for &(ffi, word) in ff_diff {
+        out[ffi as usize] = word;
+    }
+}
+
+impl<const W: usize> Drop for BatchStepper<'_, '_, W> {
     /// Returns the scratch to its quiescent state (flags false, lists
-    /// empty) so the next batch can reuse it.
-    pub(crate) fn finish(self) {
-        let s = self.s;
+    /// empty) so the next batch can reuse it. A stepper dropped while its
+    /// thread unwinds may have stopped mid-step, with queued gates and
+    /// half-updated lists, so the scratch is then discarded wholesale; the
+    /// next [`KernelScratch::ensure`] sizes a fresh one.
+    fn drop(&mut self) {
+        let s = &mut *self.s;
+        if std::thread::panicking() {
+            *s = KernelScratch::default();
+            return;
+        }
         let topo = self.topo;
         for &n in &s.src_diverged {
             s.diverged[n as usize] = false;

@@ -723,14 +723,14 @@ pub fn single_fault_detects(
     None
 }
 
-/// Scalar single-fault simulator with checkpointable machine states.
+/// Scalar single-fault simulator: the stepwise form of
+/// [`single_fault_detects`], with both machine states (fault-free and
+/// faulty) readable after any step.
 ///
-/// The resumable form of [`single_fault_detects`]: both machine states
-/// (fault-free and faulty) can be read after any step and written back
-/// later, so a caller evaluating many variations of a sequence — the inner
-/// loop of restoration-based compaction — can restart from a saved
-/// checkpoint instead of simulating the shared prefix again. Detection
-/// verdicts are identical to [`single_fault_detects`].
+/// It evaluates both machines with the reference [`eval_comb`] /
+/// [`eval_comb_with`](crate::eval_comb_with) / [`next_state`], so it is
+/// the oracle for [`FrameSim::step_pair`], which restoration-based
+/// compaction steps instead.
 pub struct SingleFaultSim<'a> {
     circuit: &'a Circuit,
     fault: limscan_fault::Fault,
@@ -791,27 +791,14 @@ impl<'a> SingleFaultSim<'a> {
     pub fn bad_state(&self) -> &[Logic] {
         &self.bad_state
     }
-
-    /// Restores a `(fault-free, faulty)` state checkpoint taken earlier
-    /// via [`good_state`](Self::good_state) / [`bad_state`](Self::bad_state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either state's length differs from the flip-flop count.
-    pub fn set_states(&mut self, good: &[Logic], bad: &[Logic]) {
-        assert_eq!(good.len(), self.circuit.dffs().len(), "state length");
-        assert_eq!(bad.len(), self.circuit.dffs().len(), "state length");
-        self.good_state.copy_from_slice(good);
-        self.bad_state.copy_from_slice(bad);
-    }
 }
 
 /// Runs one batch through the event-driven kernel, absorbing any panic.
 ///
 /// On a panic — a kernel bug or an armed [`crate::fail_inject`] point — the
-/// poisoned per-thread scratch is rebuilt from scratch and the batch is
-/// replayed on [`reference_batch`], the dense oracle evaluation, so a
-/// failure in the optimized path degrades to the slow path instead of
+/// unwinding kernel has already discarded the per-thread scratch, and the
+/// batch is replayed on [`reference_batch`], the dense oracle evaluation,
+/// so a failure in the optimized path degrades to the slow path instead of
 /// aborting the whole flow. Returns the outcome plus whether degradation
 /// happened; the outcome is bit-identical either way because the two
 /// engines are lane-exact equivalents (enforced by the differential tests).
@@ -829,9 +816,8 @@ fn run_batch_isolated<const W: usize>(
     match attempt {
         Ok(out) => (out, false),
         Err(_) => {
-            // The scratch arena may hold arbitrary partial updates from the
-            // aborted run; discard it entirely before anyone trusts it.
-            *ks = KernelScratch::default();
+            // The stepper's drop discarded the scratch if the panic hit it
+            // mid-run; size it again for the replay's final states.
             ks.ensure(ctx.circuit, ctx.topo);
             let out = reference_batch(ctx, batch, &mut ks.final_states, t0, t1);
             (out, true)

@@ -80,9 +80,9 @@ pub(crate) fn eval_op_w<const W: usize>(code: u8, a: WideWord<W>, b: WideWord<W>
     }
 }
 
-/// Evaluates one opcode over scalar three-valued logic.
-#[inline(always)]
-pub(crate) fn eval_op_scalar(code: u8, a: Logic, b: Logic) -> Logic {
+/// Evaluates one opcode over scalar three-valued logic: the specification
+/// [`SCALAR_TABLE`] is built from.
+pub(crate) const fn eval_op_scalar(code: u8, a: Logic, b: Logic) -> Logic {
     match code {
         op::AND => a.and(b),
         op::NAND => a.and(b).not(),
@@ -96,6 +96,33 @@ pub(crate) fn eval_op_scalar(code: u8, a: Logic, b: Logic) -> Logic {
         _ => Logic::One,
     }
 }
+
+/// Number of opcodes in [`op`].
+const N_CODES: usize = 10;
+
+/// `SCALAR_TABLE[code][a][b]` is `eval_op_scalar(code, a, b)`, with
+/// operands indexed by `Logic as usize`: one lookup per op instead of the
+/// branchy three-valued match. Built at compile time from
+/// [`eval_op_scalar`].
+static SCALAR_TABLE: [[[Logic; 3]; 3]; N_CODES] = {
+    const VALUES: [Logic; 3] = [Logic::Zero, Logic::One, Logic::X];
+    let mut table = [[[Logic::X; 3]; 3]; N_CODES];
+    let mut code = 0;
+    while code < N_CODES {
+        let mut a = 0;
+        while a < 3 {
+            let mut b = 0;
+            while b < 3 {
+                assert!(VALUES[a] as usize == a && VALUES[b] as usize == b);
+                table[code][a][b] = eval_op_scalar(code as u8, VALUES[a], VALUES[b]);
+                b += 1;
+            }
+            a += 1;
+        }
+        code += 1;
+    }
+    table
+};
 
 /// Union-find over net indexes, used to compute weakly-connected
 /// components.
@@ -434,7 +461,8 @@ impl FlatNetlist {
 
     /// Scalar evaluation of the whole op stream: `row` holds net values
     /// (sources pre-loaded), `tmp` the shared scratch slots
-    /// (`len >= n_temps`). Identical results to `eval_comb`.
+    /// (`len >= n_temps`). Identical results to `eval_comb`; each op is one
+    /// [`SCALAR_TABLE`] lookup.
     pub(crate) fn eval_scalar(&self, row: &mut [Logic], tmp: &mut [Logic]) {
         let n = self.n_nets;
         let read = |row: &[Logic], tmp: &[Logic], idx: u32| {
@@ -448,7 +476,7 @@ impl FlatNetlist {
         for o in &self.ops {
             let a = read(row, tmp, o.a);
             let b = read(row, tmp, o.b);
-            let r = eval_op_scalar(o.code, a, b);
+            let r = SCALAR_TABLE[o.code as usize][a as usize][b as usize];
             let out = o.out as usize;
             if out < n {
                 row[out] = r;
@@ -707,5 +735,32 @@ impl<const W: usize> WideInjection<W> {
     #[inline(always)]
     pub(crate) fn force_ff(&self, ffi: usize, w: WideWord<W>) -> WideWord<W> {
         w.force_zero(&self.ff_sa0[ffi]).force_one(&self.ff_sa1[ffi])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every opcode over every operand pair: the table, read the way
+    /// `eval_scalar` reads it, equals the match it was built from and the
+    /// wide kernel's evaluation.
+    #[test]
+    fn scalar_table_matches_eval_op_scalar() {
+        assert_eq!(op::ONE as usize, N_CODES - 1, "every opcode has a row");
+        let all = [Logic::Zero, Logic::One, Logic::X];
+        for code in 0..N_CODES as u8 {
+            for a in all {
+                for b in all {
+                    let want = eval_op_scalar(code, a, b);
+                    assert_eq!(
+                        SCALAR_TABLE[code as usize][a as usize][b as usize], want,
+                        "opcode {code} on ({a}, {b})"
+                    );
+                    let wide = eval_op_w::<1>(code, WideWord::broadcast(a), WideWord::broadcast(b));
+                    assert_eq!(wide.lane(0), want, "opcode {code} on ({a}, {b})");
+                }
+            }
+        }
     }
 }

@@ -14,6 +14,9 @@
 //!
 //! Test generation uses the frame to imply a good and a faulty machine
 //! side by side, and to score many candidate vectors in one sweep.
+//! [`FrameSim::step_pair`] advances one (fault-free, faulty) state pair by
+//! a vector and reports detection, the step of test generation's forward
+//! search and of restoration's single-fault probes.
 
 use std::sync::Arc;
 
@@ -22,6 +25,7 @@ use limscan_netlist::{Circuit, NetId};
 
 use crate::engine::{sweep_ops, Topology};
 use crate::flat::WideInjection;
+use crate::logic::Logic;
 use crate::parallel::WideWord;
 
 /// A compiled single-frame evaluator over 64 lanes.
@@ -139,5 +143,39 @@ impl<'a> FrameSim<'a> {
     pub fn next_state(&self, ff: usize) -> WideWord<1> {
         let d = self.topo.dff_d()[ff] as usize;
         self.inj.force_ff(ff, self.vals[d])
+    }
+
+    /// Applies `inputs` to a fault-free machine in lane 0, starting from
+    /// state `good`, and to a faulty machine in lane 1, starting from
+    /// `bad`, and advances both states in place. Returns whether some
+    /// primary output is binary in lane 0 and the complement in lane 1:
+    /// the verdict of [`SingleFaultSim::step`](crate::SingleFaultSim::step).
+    ///
+    /// The fault must be injected into lane 1 and not lane 0 (for example
+    /// `inject(Some(fault), 0b10)`). The other lanes start from the all-X
+    /// state.
+    pub fn step_pair(&mut self, inputs: &[Logic], good: &mut [Logic], bad: &mut [Logic]) -> bool {
+        for (pos, &v) in inputs.iter().enumerate() {
+            self.set_input(pos, WideWord::broadcast(v));
+        }
+        for (ff, (&g, &b)) in good.iter().zip(bad.iter()).enumerate() {
+            let (g, b) = (WideWord::<1>::broadcast(g), WideWord::<1>::broadcast(b));
+            let pair = WideWord {
+                v0: [(g.v0[0] & 0b01) | (b.v0[0] & 0b10)],
+                v1: [(g.v1[0] & 0b01) | (b.v1[0] & 0b10)],
+            };
+            self.set_state(ff, pair);
+        }
+        self.eval();
+        let detected = self.topo.po().iter().any(|&o| {
+            let w = self.vals[o as usize];
+            w.lane(0).conflicts(w.lane(1))
+        });
+        for (ff, (g, b)) in good.iter_mut().zip(bad.iter_mut()).enumerate() {
+            let w = self.next_state(ff);
+            *g = w.lane(0);
+            *b = w.lane(1);
+        }
+        detected
     }
 }

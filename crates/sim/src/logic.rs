@@ -32,7 +32,7 @@ pub enum Logic {
 impl Logic {
     /// Converts a boolean to a binary logic value.
     #[inline]
-    pub fn from_bool(b: bool) -> Self {
+    pub const fn from_bool(b: bool) -> Self {
         if b {
             Logic::One
         } else {
@@ -42,7 +42,7 @@ impl Logic {
 
     /// The binary value as a boolean, or `None` for X.
     #[inline]
-    pub fn to_bool(self) -> Option<bool> {
+    pub const fn to_bool(self) -> Option<bool> {
         match self {
             Logic::Zero => Some(false),
             Logic::One => Some(true),
@@ -52,13 +52,13 @@ impl Logic {
 
     /// Whether the value is binary (not X).
     #[inline]
-    pub fn is_binary(self) -> bool {
+    pub const fn is_binary(self) -> bool {
         !matches!(self, Logic::X)
     }
 
     /// Logical AND.
     #[inline]
-    pub fn and(self, other: Self) -> Self {
+    pub const fn and(self, other: Self) -> Self {
         match (self, other) {
             (Logic::Zero, _) | (_, Logic::Zero) => Logic::Zero,
             (Logic::One, Logic::One) => Logic::One,
@@ -68,7 +68,7 @@ impl Logic {
 
     /// Logical OR.
     #[inline]
-    pub fn or(self, other: Self) -> Self {
+    pub const fn or(self, other: Self) -> Self {
         match (self, other) {
             (Logic::One, _) | (_, Logic::One) => Logic::One,
             (Logic::Zero, Logic::Zero) => Logic::Zero,
@@ -78,7 +78,7 @@ impl Logic {
 
     /// Logical XOR.
     #[inline]
-    pub fn xor(self, other: Self) -> Self {
+    pub const fn xor(self, other: Self) -> Self {
         match (self.to_bool(), other.to_bool()) {
             (Some(a), Some(b)) => Logic::from_bool(a ^ b),
             _ => Logic::X,
@@ -89,7 +89,7 @@ impl Logic {
     #[inline]
     #[allow(clippy::should_implement_trait)] // `!` is provided too; the
                                              // inherent method keeps chained call sites readable without an import
-    pub fn not(self) -> Self {
+    pub const fn not(self) -> Self {
         match self {
             Logic::Zero => Logic::One,
             Logic::One => Logic::Zero,
@@ -117,7 +117,7 @@ impl Logic {
     /// Whether `self` and `other` are definitely different: both binary and
     /// complementary. This is the three-valued-safe detection predicate.
     #[inline]
-    pub fn conflicts(self, other: Self) -> bool {
+    pub const fn conflicts(self, other: Self) -> bool {
         matches!(
             (self, other),
             (Logic::Zero, Logic::One) | (Logic::One, Logic::Zero)

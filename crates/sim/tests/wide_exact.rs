@@ -14,14 +14,15 @@
 //!
 //! The single-frame evaluator `FrameSim`, which runs the same compiled op
 //! stream over 64 lanes, is checked lane by lane against the scalar
-//! `eval_comb` / `eval_comb_with` / `next_state` reference.
+//! `eval_comb` / `eval_comb_with` / `next_state` reference, and its
+//! (fault-free, faulty) pair step against `SingleFaultSim::step`.
 
 use limscan_fault::{FaultId, FaultList, FaultSite};
 use limscan_netlist::{benchmarks, Circuit, Driver, GateKind};
 use limscan_scan::ScanCircuit;
 use limscan_sim::{
     eval_comb, eval_comb_with, next_state, set_sim_threads, FrameSim, Logic, SeqFaultSim,
-    TestSequence, TrialCheckpoints, WideWord, LANES,
+    SingleFaultSim, TestSequence, TrialCheckpoints, WideWord, LANES,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -368,4 +369,50 @@ fn frame_sim_matches_scalar_reference() {
         cov.dpin_branches > 0,
         "no flip-flop D-pin branch faults checked"
     );
+}
+
+/// `FrameSim::step_pair` is `SingleFaultSim::step`: the same detection
+/// flag and the same fault-free and faulty states after every step, for
+/// every fault of the full universe of scan-inserted s27 and s298, over
+/// sequences with 30% X inputs that start from the all-X state. Both keep
+/// stepping after a detection.
+#[test]
+fn frame_pair_step_matches_single_fault_sim() {
+    for (i, name) in ["s27", "s298"].into_iter().enumerate() {
+        let scan = ScanCircuit::insert(&benchmarks::load(name).expect("known benchmark"));
+        let c = scan.circuit();
+        let mut rng = StdRng::seed_from_u64(0x9A1E + i as u64);
+        let mut seq = TestSequence::new(c.inputs().len());
+        for _ in 0..24 {
+            seq.push(
+                (0..c.inputs().len())
+                    .map(|_| {
+                        if rng.gen_bool(0.3) {
+                            Logic::X
+                        } else {
+                            Logic::from_bool(rng.gen())
+                        }
+                    })
+                    .collect(),
+            );
+        }
+        let faults = FaultList::full(c);
+        let mut frame = FrameSim::new(c);
+        let mut detections = 0usize;
+        for (_, fault) in faults.iter() {
+            frame.inject(Some(fault), 0b10);
+            let mut reference = SingleFaultSim::new(c, fault);
+            let mut good = vec![Logic::X; c.dffs().len()];
+            let mut bad = good.clone();
+            for (t, v) in seq.iter().enumerate() {
+                let what = || format!("{name}: {} at {t}", fault.display_name(c));
+                let hit = frame.step_pair(v, &mut good, &mut bad);
+                assert_eq!(hit, reference.step(v), "{}: detection", what());
+                assert_eq!(good, reference.good_state(), "{}: good state", what());
+                assert_eq!(bad, reference.bad_state(), "{}: faulty state", what());
+                detections += usize::from(hit);
+            }
+        }
+        assert!(detections > 0, "{name}: no step detected anything");
+    }
 }
