@@ -29,14 +29,14 @@ use limscan::{
     FlowConfig, GenerationFlow, ScanCircuit, SequentialAtpg, TranslationFlow,
 };
 
-/// `SequentialAtpg::run()` over the scan variant of `name` with the
-/// default configuration: the sequence fingerprint and
+/// `SequentialAtpg::run()` over the scan variant of `name` with
+/// `config`: the sequence fingerprint and
 /// `(aborted, scan_loads, funct_detected, detected)`.
-fn sequential(name: &str) -> (u64, [usize; 4]) {
+fn sequential(name: &str, config: AtpgConfig) -> (u64, [usize; 4]) {
     let circuit = benchmarks::load(name).expect("embedded benchmark");
     let sc = ScanCircuit::insert(&circuit);
     let faults = FaultList::collapsed(sc.circuit());
-    let out = SequentialAtpg::new(&sc, &faults, AtpgConfig::default()).run();
+    let out = SequentialAtpg::new(&sc, &faults, config).run();
     let counts = [
         out.aborted,
         out.scan_loads,
@@ -106,11 +106,16 @@ fn podem_fingerprint(name: &str, latched: bool, step: usize) -> u64 {
 }
 
 fn check_sequential(name: &str, fingerprint: u64, counts: [usize; 4]) {
-    let got = sequential(name);
+    check_sequential_with(name, AtpgConfig::default(), fingerprint, counts);
+}
+
+fn check_sequential_with(name: &str, config: AtpgConfig, fingerprint: u64, counts: [usize; 4]) {
+    let label = format!("{name} {config:?}");
+    let got = sequential(name, config);
     assert_eq!(
         got,
         (fingerprint, counts),
-        "{name}: sequential generator output moved (got {:#018x}, {:?})",
+        "{label}: sequential generator output moved (got {:#018x}, {:?})",
         got.0,
         got.1
     );
@@ -150,6 +155,67 @@ fn sequential_s386() {
 #[test]
 fn sequential_b06() {
     check_sequential("b06", 0x5d8f_dc00_374f_f1bb, [30, 10, 5, 245]);
+}
+
+/// Non-default generator configurations on s298, whose collapsed list
+/// holds faults that static analysis proves untestable: without scan
+/// knowledge, with no or one forward-search frame, with one candidate
+/// (`random_candidates: 0` still scores one) or 40 (two scoring sweeps),
+/// and with no random phase.
+#[test]
+fn sequential_s298_configs() {
+    for (config, fingerprint, counts) in [
+        (
+            AtpgConfig {
+                use_scan_knowledge: false,
+                ..AtpgConfig::default()
+            },
+            0xc7f8_a867_b7c9_a418,
+            [241, 0, 0, 313],
+        ),
+        (
+            AtpgConfig {
+                max_search_depth: 0,
+                ..AtpgConfig::default()
+            },
+            0x7f52_b0c8_496e_a182,
+            [165, 11, 3, 389],
+        ),
+        (
+            AtpgConfig {
+                max_search_depth: 1,
+                ..AtpgConfig::default()
+            },
+            0x2044_91c9_a6b4_5a46,
+            [165, 9, 3, 389],
+        ),
+        (
+            AtpgConfig {
+                random_candidates: 0,
+                ..AtpgConfig::default()
+            },
+            0xca0a_d921_ab6b_9d0e,
+            [165, 13, 4, 389],
+        ),
+        (
+            AtpgConfig {
+                random_candidates: 40,
+                ..AtpgConfig::default()
+            },
+            0xbc05_f5d7_9a00_0db0,
+            [165, 13, 3, 389],
+        ),
+        (
+            AtpgConfig {
+                random_phase_vectors: 0,
+                ..AtpgConfig::default()
+            },
+            0x1977_0367_5f29_5c33,
+            [165, 9, 6, 389],
+        ),
+    ] {
+        check_sequential_with("s298", config, fingerprint, counts);
+    }
 }
 
 #[test]
