@@ -21,12 +21,19 @@
 //!    from the reachable states fails, run PODEM with a free present state
 //!    and justify the state it returns with a complete scan load.
 //!
+//! A fault that static analysis (`limscan-analyze`) proves untestable per
+//! frame gets no attempts: every one of them would fail (DESIGN.md §18).
+//! Its episode only draws the candidate vectors its state-advancing steps
+//! would have drawn, so the random choices of every later episode, and
+//! with them the whole sequence, stay as they were.
+//!
 //! Every committed subsequence is fault-simulated incrementally, so all
 //! collateral detections drop faults from the target list.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use limscan_analyze::StaticAnalysis;
 use limscan_fault::{Fault, FaultId, FaultList};
 use limscan_harness::{AtpgCursor, CancelToken, StopReason};
 use limscan_netlist::NetId;
@@ -264,6 +271,7 @@ impl<'a> SequentialAtpg<'a> {
             Some(order) => order.clone(),
             None => self.faults.ids().collect(),
         };
+        let proven = self.proven_untestable();
         for (fi, &fid) in order.iter().enumerate() {
             if fi < start_fault {
                 continue; // processed before the resume point
@@ -294,7 +302,17 @@ impl<'a> SequentialAtpg<'a> {
             span_obs.counter(Metric::AtpgEpisodes, 1);
             sim.set_obs(span_obs);
             let fault = self.faults.fault(fid);
-            match self.episode(fault, &sim, &mut rng, &mut engine) {
+            let found = if proven[fid.index()] {
+                #[cfg(debug_assertions)]
+                let before = rng.state();
+                self.skip_episode(&mut rng);
+                #[cfg(debug_assertions)]
+                self.check_skip(fault, &sim, &mut engine, before, rng.state());
+                None
+            } else {
+                self.episode(fault, &sim, &mut rng, &mut engine)
+            };
+            match found {
                 Some((mut episode, kind)) => {
                     episode.specify_x(&mut rng);
                     sim.extend(&episode);
@@ -328,6 +346,16 @@ impl<'a> SequentialAtpg<'a> {
             scan_loads,
             aborted,
         })
+    }
+
+    /// Per fault id, whether static analysis proves the fault untestable
+    /// per frame. Only the flags outlive this call.
+    fn proven_untestable(&self) -> Vec<bool> {
+        let analysis = StaticAnalysis::run(self.scan.circuit());
+        self.faults
+            .iter()
+            .map(|(_, f)| analysis.untestable_reason(f).is_some())
+            .collect()
     }
 
     /// Initial random phase with early stopping.
@@ -441,6 +469,43 @@ impl<'a> SequentialAtpg<'a> {
         None
     }
 
+    /// The episode of a fault that static analysis proves untestable per
+    /// frame. Every search, shift-out check and scan-load search of its
+    /// episode fails (DESIGN.md §18), so it only draws the candidate
+    /// batches of the `max_search_depth` advancing steps from `rng`.
+    fn skip_episode(&self, rng: &mut StdRng) {
+        for _ in 0..self.config.max_search_depth {
+            self.draw_candidates(rng);
+        }
+    }
+
+    /// Runs the full episode of a skipped fault from the RNG state
+    /// `before` the skip, and checks that it finds no subsequence and
+    /// leaves the RNG in the state the skip left, `after`.
+    #[cfg(debug_assertions)]
+    fn check_skip(
+        &self,
+        fault: Fault,
+        sim: &SeqFaultSim,
+        engine: &mut PodemEngine,
+        before: [u64; 4],
+        after: [u64; 4],
+    ) {
+        let mut replay = StdRng::from_state(before);
+        let c = self.scan.circuit();
+        assert!(
+            self.episode(fault, sim, &mut replay, engine).is_none(),
+            "statically untestable fault {} got a subsequence",
+            fault.display_name(c)
+        );
+        assert_eq!(
+            replay.state(),
+            after,
+            "skipping the episode of {} drew from the RNG differently",
+            fault.display_name(c)
+        );
+    }
+
     /// Appends the shift vectors that bring an effect latched in flip-flop
     /// `j` to its chain's `scan_out` (for a single chain of length `N_SV`
     /// this is the paper's `N_SV - j` vectors with `scan_sel = 1`).
@@ -461,16 +526,7 @@ impl<'a> SequentialAtpg<'a> {
         bstate: &[Logic],
         rng: &mut StdRng,
     ) -> Vec<Logic> {
-        let c = self.scan.circuit();
-        let mut candidates: Vec<Vec<Logic>> = (0..self.config.random_candidates.max(1))
-            .map(|_| {
-                let mut v: Vec<Logic> = (0..c.inputs().len())
-                    .map(|_| Logic::from_bool(rng.gen()))
-                    .collect();
-                v[self.scan.scan_sel_pos()] = Logic::from_bool(rng.gen_bool(0.15));
-                v
-            })
-            .collect();
+        let mut candidates = self.draw_candidates(rng);
         let mut best: Option<(u64, usize)> = None;
         for (chunk, batch) in candidates.chunks(PAIRS).enumerate() {
             let scores = self.score_vectors(frame, fault, gstate, bstate, batch);
@@ -482,6 +538,19 @@ impl<'a> SequentialAtpg<'a> {
         }
         let (_, pick) = best.expect("at least one candidate");
         candidates.swap_remove(pick)
+    }
+
+    /// Draws one advancing step's `random_candidates` (at least one)
+    /// random vectors, each shifting the chain with probability 0.15.
+    fn draw_candidates(&self, rng: &mut StdRng) -> Vec<Vec<Logic>> {
+        let width = self.scan.circuit().inputs().len();
+        (0..self.config.random_candidates.max(1))
+            .map(|_| {
+                let mut v: Vec<Logic> = (0..width).map(|_| Logic::from_bool(rng.gen())).collect();
+                v[self.scan.scan_sel_pos()] = Logic::from_bool(rng.gen_bool(0.15));
+                v
+            })
+            .collect()
     }
 
     /// Frame-simulates up to [`PAIRS`] candidates in one sweep, candidate
