@@ -209,6 +209,40 @@ fn check_untestable_state_pairs(name: &str) {
     }
 }
 
+/// `(name, implication_edges, constant_nets, untestable_faults,
+/// dominance_targets)` of the scan-inserted benchmark: the learned
+/// implication graph feeds every later count, so the summary pins it.
+fn check_scan_summary(expected: (&str, usize, usize, usize, usize)) {
+    let name = expected.0;
+    let sc = ScanCircuit::insert(&benchmarks::load(name).expect("benchmark loads"));
+    let s = *StaticAnalysis::run(sc.circuit()).summary();
+    assert_eq!(
+        (
+            name,
+            s.implication_edges,
+            s.constant_nets,
+            s.untestable_faults,
+            s.dominance_targets
+        ),
+        expected,
+        "{name}: scan-inserted analysis summary drifted"
+    );
+}
+
+#[test]
+fn scan_analysis_summaries_are_pinned() {
+    check_scan_summary(("s298", 3961, 45, 145, 451));
+    check_scan_summary(("s386", 8872, 50, 185, 543));
+    check_scan_summary(("b06", 1338, 5, 26, 231));
+}
+
+#[test]
+#[ignore = "slow in a debug build; run with --release --include-ignored"]
+fn scan_analysis_summaries_are_pinned_on_s820_and_s1488() {
+    check_scan_summary(("s820", 18950, 68, 252, 931));
+    check_scan_summary(("s1488", 50473, 313, 1017, 1977));
+}
+
 #[test]
 fn untestable_state_pairs_never_conflict() {
     for name in ["s298", "s386", "b06"] {
