@@ -23,8 +23,6 @@
 //! is what the untestability pass (and its machine-checkable reasons)
 //! relies on.
 
-use std::collections::HashSet;
-
 use limscan_netlist::{Circuit, Driver, GateKind, NetId};
 
 /// Three-valued signal in the implication lattice.
@@ -107,9 +105,8 @@ impl<'c> ImplicationEngine<'c> {
                 eng.commit_constant(NetId::from_index(i), v);
             }
         }
-        let mut seen: HashSet<u64> = HashSet::new();
         for _round in 0..2 {
-            eng.learning_round(&mut seen);
+            eng.learning_round();
         }
         eng
     }
@@ -172,7 +169,7 @@ impl<'c> ImplicationEngine<'c> {
         out
     }
 
-    fn learning_round(&mut self, seen: &mut HashSet<u64>) {
+    fn learning_round(&mut self) {
         let n = self.circuit.net_count();
         for i in 0..n {
             for value in [false, true] {
@@ -195,20 +192,20 @@ impl<'c> ImplicationEngine<'c> {
                     }
                     let w = self.val[m] == Tri::One;
                     let to = lit(m, w) as u32;
-                    self.record(seen, from as u32, to);
-                    self.record(seen, lit(m, !w) as u32, neg_from);
+                    self.record(from as u32, to);
+                    self.record(lit(m, !w) as u32, neg_from);
                 }
                 self.reset();
             }
         }
     }
 
-    fn record(&mut self, seen: &mut HashSet<u64>, from: u32, to: u32) {
-        if self.learned[from as usize].len() >= LEARN_CAP {
-            return;
-        }
-        if seen.insert((u64::from(from) << 32) | u64::from(to)) {
-            self.learned[from as usize].push(to);
+    /// Adds the edge `from ⇒ to` unless it is already recorded or
+    /// `from`'s list is full.
+    fn record(&mut self, from: u32, to: u32) {
+        let list = &mut self.learned[from as usize];
+        if list.len() < LEARN_CAP && !list.contains(&to) {
+            list.push(to);
             self.edges += 1;
         }
     }
