@@ -273,44 +273,6 @@ impl Diagnostic {
         }
         out
     }
-
-    /// Renders the finding as one JSON object.
-    pub fn render_json(&self, file: &str) -> String {
-        let mut fields = vec![
-            format!("\"file\":{}", json_string(file)),
-            format!("\"line\":{}", self.span.line().unwrap_or(0)),
-            format!("\"code\":{}", json_string(self.code.code())),
-            format!("\"rule\":{}", json_string(self.code.slug())),
-            format!("\"severity\":{}", json_string(self.severity.label())),
-            format!("\"message\":{}", json_string(&self.message)),
-        ];
-        if let Some(net) = &self.net {
-            fields.push(format!("\"net\":{}", json_string(net)));
-        }
-        if let Some(s) = &self.suggestion {
-            fields.push(format!("\"suggestion\":{}", json_string(s)));
-        }
-        format!("{{{}}}", fields.join(","))
-    }
-}
-
-/// Escapes a string for JSON output.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The outcome of a lint run: findings sorted by source position.
@@ -386,16 +348,6 @@ impl LintReport {
         ));
         out
     }
-
-    /// Renders the report as a JSON array of finding objects.
-    pub fn render_json(&self, file: &str) -> String {
-        let items: Vec<String> = self
-            .diagnostics
-            .iter()
-            .map(|d| d.render_json(file))
-            .collect();
-        format!("[{}]", items.join(","))
-    }
 }
 
 #[cfg(test)]
@@ -454,20 +406,5 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("help:"), "{text}");
-    }
-
-    #[test]
-    fn json_rendering_escapes() {
-        let d = Diagnostic::new(
-            RuleCode::SyntaxError,
-            Span::at_line(1),
-            "bad \"token\"\nnext",
-        );
-        let json = d.render_json("a\\b.bench");
-        assert!(json.contains(r#""file":"a\\b.bench""#), "{json}");
-        assert!(json.contains(r#"bad \"token\"\nnext"#), "{json}");
-        let report = LintReport::new(vec![d]);
-        let arr = report.render_json("f");
-        assert!(arr.starts_with('[') && arr.ends_with(']'));
     }
 }

@@ -4,6 +4,11 @@
 //! limscan info <circuit.bench>
 //! limscan analyze <circuit.bench> [--scan] [--chains N] [--json]
 //! limscan analyze --self-check
+//! limscan lint <circuit> [--json] [--chains N]
+//!              [--min-severity error|warning|info] [--scoap-threshold N]
+//!              [--no-testability] [--implication-limit N]
+//!              [--limit key=value]...
+//! limscan lint --self-check [--json]
 //! limscan generate <circuit.bench> [-o program.txt] [--chains N]
 //!                  [--engine det|genetic] [--max-faults N] [--no-compact] [--analyze]
 //!                  [--deadline SECS] [--max-vectors N] [--snapshots DIR]
@@ -33,10 +38,22 @@
 //! `--self-check` re-verifies every claim over the embedded benchmark
 //! suite (the CI analyze gate).
 //!
+//! `lint` runs the static diagnostics rules (structural, scan-chain and
+//! testability) on a netlist and prints the findings as
+//! `file:line: severity[CODE] rule: message` lines, or a JSON array with
+//! `--json`. `--chains N` inserts N scan chains first and lints the
+//! scanned circuit against its chain metadata; `--limit` tightens a parse
+//! ceiling, and a crossed ceiling is an L007 error finding.
+//! `--self-check` lints every embedded benchmark, bare and
+//! scan-inserted. Error-severity findings exit with status 1, whatever
+//! `--min-severity` shows.
+//!
 //! `generate` inserts scan into the circuit, runs the paper's flow and
 //! writes a tester vector file; `compact` re-compacts an existing vector
-//! file against the same scan circuit. Circuits are ISCAS-89 `.bench`
-//! netlists, structural `.blif` netlists, or a benchmark name like `s27` /
+//! file against the same scan circuit. Every subcommand reads a circuit
+//! the same way: an argument ending in `.blif` is a structural BLIF
+//! netlist, one ending in `.bench` (or any other path) an ISCAS-89
+//! `.bench` netlist, and anything else a benchmark name like `s27` /
 //! `s298`. `--trace` streams the span/metric event log as JSONL;
 //! `--metrics` prints the per-phase summary and detection profile to
 //! stderr.
@@ -84,11 +101,15 @@
 
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use limscan::atpg::genetic::GeneticConfig;
 use limscan::fault::CollapseStats;
-use limscan::netlist::{bench_format, blif_format, CircuitStats};
+use limscan::lint::{Diagnostic, LintConfig, LintReport, Linter, Severity};
+use limscan::netlist::raw::RawNetlist;
+use limscan::netlist::{bench_format, blif_format, CircuitStats, ParseLimits};
+use limscan::obs::Json;
 use limscan::scan::program::{parse_program, program_stats, write_program};
 use limscan::{
     benchmarks, resume_flow, run_compaction_resilient, run_generation_resilient, AnalysisOptions,
@@ -104,6 +125,7 @@ fn main() -> ExitCode {
     let result = match args.first().map(String::as_str) {
         Some("info") => cmd_info(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
+        Some("lint") => cmd_lint(&args[1..]),
         Some("generate") => cmd_generate(&args[1..]),
         Some("compact") => cmd_compact(&args[1..]),
         Some("resume") => cmd_resume(&args[1..]),
@@ -129,6 +151,11 @@ const USAGE: &str = "usage:
   limscan info <circuit.bench | benchmark-name>
   limscan analyze <circuit> [--scan] [--chains N] [--json]
   limscan analyze --self-check
+  limscan lint <circuit> [--json] [--chains N]
+               [--min-severity error|warning|info] [--scoap-threshold N]
+               [--no-testability] [--implication-limit N]
+               [--limit key=value]...
+  limscan lint --self-check [--json]
   limscan generate <circuit> [-o program.txt] [--chains N]
                    [--engine det|genetic] [--max-faults N] [--no-compact] [--analyze]
                    [--deadline SECS] [--max-vectors N] [--snapshots DIR]
@@ -150,9 +177,13 @@ const USAGE: &str = "usage:
                 [--write-timeout SECS] [--max-conns N] [--limit key=value]...
   limscan client <socket> [request-json] [--retry N] [--retry-base-ms M]
 
-exit status: 0 complete, 1 difference found by `equiv` (or a failed
-`client` request), 2 error, 3 stopped at a budget limit (partial result
-kept; resume from the latest --snapshots checkpoint)";
+A circuit is a .blif file, a .bench file (or any other path), or an
+embedded benchmark name.
+
+exit status: 0 complete, 1 difference found by `equiv`, error-severity
+finding from `lint` (or a failed `client` request), 2 error, 3 stopped at
+a budget limit (partial result kept; resume from the latest --snapshots
+checkpoint)";
 
 /// Parses `--trace` / `--metrics` into an observability handle.
 fn obs_from_args(args: &[String]) -> Result<(ObsHandle, bool), String> {
@@ -168,25 +199,8 @@ fn obs_from_args(args: &[String]) -> Result<(ObsHandle, bool), String> {
 /// Parses `--deadline SECS` / `--max-vectors N` into a budget, plus
 /// whether any limit was actually given.
 fn budget_from_args(args: &[String]) -> Result<(RunBudget, bool), String> {
-    let deadline = match flag_value(args, "--deadline") {
-        None => None,
-        Some(v) => {
-            let secs: f64 = v
-                .parse()
-                .map_err(|_| format!("invalid value `{v}` for --deadline"))?;
-            if !secs.is_finite() || secs < 0.0 {
-                return Err(format!("invalid value `{v}` for --deadline"));
-            }
-            Some(Duration::from_secs_f64(secs))
-        }
-    };
-    let max_vectors: Option<u64> = match flag_value(args, "--max-vectors") {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| format!("invalid value `{v}` for --max-vectors"))?,
-        ),
-    };
+    let deadline = secs_flag(args, "--deadline")?;
+    let max_vectors = opt_flag(args, "--max-vectors")?;
     let limited = deadline.is_some() || max_vectors.is_some();
     Ok((
         RunBudget {
@@ -198,15 +212,106 @@ fn budget_from_args(args: &[String]) -> Result<(RunBudget, bool), String> {
     ))
 }
 
-fn load_circuit(arg: &str) -> Result<Circuit, String> {
+/// Netlist file formats.
+enum Format {
+    Bench,
+    Blif,
+}
+
+/// The input rule every subcommand shares: an argument ending in `.blif`
+/// is a BLIF file, one ending in `.bench` (or any other path) a `.bench`
+/// file, and anything else (`None`) names an embedded benchmark.
+fn file_format(arg: &str) -> Option<Format> {
     if arg.ends_with(".blif") {
-        blif_format::read_file(arg).map_err(|e| e.to_string())
+        Some(Format::Blif)
     } else if arg.ends_with(".bench") || arg.contains('/') {
-        bench_format::read_file(arg).map_err(|e| e.to_string())
+        Some(Format::Bench)
     } else {
-        benchmarks::load(arg)
-            .ok_or_else(|| format!("`{arg}` is neither a .bench/.blif file nor a known benchmark"))
+        None
     }
+}
+
+fn embedded(name: &str) -> Result<Circuit, String> {
+    benchmarks::load(name)
+        .ok_or_else(|| format!("`{name}` is neither a .bench/.blif file nor a known benchmark"))
+}
+
+fn load_circuit(arg: &str) -> Result<Circuit, String> {
+    match file_format(arg) {
+        Some(Format::Blif) => blif_format::read_file(arg).map_err(|e| e.to_string()),
+        Some(Format::Bench) => bench_format::read_file(arg).map_err(|e| e.to_string()),
+        None => embedded(arg),
+    }
+}
+
+/// The permissive parse of a circuit argument under `limits`, labelled by
+/// the argument, so lint findings keep their source lines. A benchmark
+/// name parses its written-out `.bench` text.
+fn load_raw(arg: &str, limits: &ParseLimits) -> Result<RawNetlist, String> {
+    let read = || std::fs::read_to_string(arg).map_err(|e| format!("cannot read {arg}: {e}"));
+    Ok(match file_format(arg) {
+        Some(Format::Blif) => blif_format::parse_raw_limited(arg, &read()?, limits),
+        Some(Format::Bench) => bench_format::parse_raw_limited(arg, &read()?, limits),
+        None => bench_format::parse_raw_limited(arg, &bench_format::write(&embedded(arg)?), limits),
+    })
+}
+
+/// The circuit argument, which comes first.
+fn circuit_arg<'a>(args: &'a [String], command: &str) -> Result<&'a str, String> {
+    match args.first() {
+        None => Err(format!("{command}: missing circuit argument")),
+        Some(a) if a.starts_with("--") => Err(format!("{command}: expected a circuit, got `{a}`")),
+        Some(a) => Ok(a),
+    }
+}
+
+/// The chain-count check: `--chains N` (default 1) must lie between 1 and
+/// the circuit's flip-flop count.
+fn chains_from_args(args: &[String], circuit: &Circuit) -> Result<usize, String> {
+    let ffs = circuit.dffs().len();
+    if ffs == 0 {
+        return Err("circuit has no flip-flops; nothing to scan".into());
+    }
+    let chains = parse_flag(args, "--chains", 1)?;
+    if chains == 0 || chains > ffs {
+        return Err(format!(
+            "--chains must be between 1 and the flip-flop count ({ffs})"
+        ));
+    }
+    Ok(chains)
+}
+
+/// The parse ceilings, tightened by every repeated `--limit key=value`.
+fn limits_from_args(args: &[String]) -> Result<ParseLimits, String> {
+    let mut limits = ParseLimits::default();
+    for (i, a) in args.iter().enumerate() {
+        if a == "--limit" {
+            let spec = args
+                .get(i + 1)
+                .ok_or("--limit needs a key=value argument")?;
+            limits.apply(spec)?;
+        }
+    }
+    Ok(limits)
+}
+
+/// The embedded circuits both self-checks sweep: s27 and the Table 5/6
+/// suites, which hold every Table 7 circuit too.
+fn embedded_suite() -> Vec<&'static str> {
+    let mut names = vec!["s27"];
+    names.extend(benchmarks::iscas89_suite());
+    names.extend(benchmarks::itc99_suite());
+    names
+}
+
+/// A JSON object with members in the given order.
+fn json_obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+    Json::Obj(
+        members
+            .into_iter()
+            .map(|(k, v)| (k.to_owned(), v))
+            .collect(),
+    )
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -216,12 +321,28 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
-    match flag_value(args, flag) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value `{v}` for {flag}")),
+/// The parsed value of `flag`, if it is given.
+fn opt_flag<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    flag_value(args, flag)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("invalid value `{v}` for {flag}"))
+        })
+        .transpose()
+}
+
+fn parse_flag<T: FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
+    Ok(opt_flag(args, flag)?.unwrap_or(default))
+}
+
+/// A finite, non-negative seconds value for `flag`, if it is given.
+fn secs_flag(args: &[String], flag: &str) -> Result<Option<Duration>, String> {
+    match opt_flag::<f64>(args, flag)? {
+        Some(secs) if !secs.is_finite() || secs < 0.0 => Err(format!(
+            "invalid value `{}` for {flag}",
+            flag_value(args, flag).unwrap_or_default()
+        )),
+        secs => Ok(secs.map(Duration::from_secs_f64)),
     }
 }
 
@@ -245,6 +366,16 @@ fn write_out(args: &[String], text: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Status 1 for a failed check (a difference, an error finding or a
+/// failed request), else success.
+fn exit_status(failed: bool) -> ExitCode {
+    if failed {
+        ExitCode::from(1)
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
 /// Reports a budget-stopped run and returns the partial exit status.
 fn report_partial(reason: StopReason, phase_tag: &str, path: Option<&std::path::Path>) -> ExitCode {
     eprintln!("stopped early: {reason} (during `{phase_tag}`)");
@@ -262,8 +393,7 @@ fn report_partial(reason: StopReason, phase_tag: &str, path: Option<&std::path::
 }
 
 fn cmd_info(args: &[String]) -> Result<ExitCode, String> {
-    let path = args.first().ok_or("info: missing circuit argument")?;
-    let circuit = load_circuit(path)?;
+    let circuit = load_circuit(circuit_arg(args, "info")?)?;
     println!("{}", CircuitStats::of(&circuit));
     let cs = CollapseStats::measure(&circuit);
     println!(
@@ -297,46 +427,13 @@ fn cmd_info(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Renders one analysis summary as a JSON object (no external
-/// dependencies, so the fields are emitted by hand).
-fn summary_json(name: &str, s: &limscan::AnalysisSummary, elapsed_ms: u128) -> String {
-    format!(
-        "{{\"circuit\":\"{name}\",\"ffr_count\":{},\"dom_tree_depth\":{},\
-         \"constant_nets\":{},\"implication_edges\":{},\"full_faults\":{},\
-         \"collapsed_faults\":{},\"dominance_targets\":{},\
-         \"untestable_faults\":{},\"pruned_targets\":{},\"analysis_ms\":{elapsed_ms}}}",
-        s.ffr_count,
-        s.dom_tree_depth,
-        s.constant_nets,
-        s.implication_edges,
-        s.full_faults,
-        s.collapsed_faults,
-        s.dominance_targets,
-        s.untestable_faults,
-        s.pruned_targets,
-    )
-}
-
 fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
     if args.iter().any(|a| a == "--self-check") {
         return analyze_self_check();
     }
-    let path = args.first().ok_or("analyze: missing circuit argument")?;
-    if path.starts_with("--") {
-        return Err(format!("analyze: expected a circuit, got `{path}`"));
-    }
-    let mut circuit = load_circuit(path)?;
+    let mut circuit = load_circuit(circuit_arg(args, "analyze")?)?;
     if args.iter().any(|a| a == "--scan") {
-        if circuit.dffs().is_empty() {
-            return Err("circuit has no flip-flops; --scan does not apply".into());
-        }
-        let chains: usize = parse_flag(args, "--chains", 1)?;
-        if chains == 0 || chains > circuit.dffs().len() {
-            return Err(format!(
-                "--chains must be between 1 and the flip-flop count ({})",
-                circuit.dffs().len()
-            ));
-        }
+        let chains = chains_from_args(args, &circuit)?;
         circuit = ScanCircuit::insert_chains(&circuit, chains)
             .circuit()
             .clone();
@@ -347,7 +444,21 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
     let s = analysis.summary();
 
     if args.iter().any(|a| a == "--json") {
-        println!("{}", summary_json(circuit.name(), s, elapsed_ms));
+        let count = |n: usize| Json::num(n as u64);
+        let summary = json_obj([
+            ("circuit", Json::str(circuit.name())),
+            ("ffr_count", count(s.ffr_count)),
+            ("dom_tree_depth", count(s.dom_tree_depth)),
+            ("constant_nets", count(s.constant_nets)),
+            ("implication_edges", count(s.implication_edges)),
+            ("full_faults", count(s.full_faults)),
+            ("collapsed_faults", count(s.collapsed_faults)),
+            ("dominance_targets", count(s.dominance_targets)),
+            ("untestable_faults", count(s.untestable_faults)),
+            ("pruned_targets", count(s.pruned_targets)),
+            ("analysis_ms", Json::num(elapsed_ms as u64)),
+        ]);
+        println!("{}", summary.render());
         return Ok(ExitCode::SUCCESS);
     }
 
@@ -384,13 +495,9 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
 /// scan-inserted variants) and machine-checks every untestability claim
 /// plus the partition bookkeeping. This is what the CI analyze gate runs.
 fn analyze_self_check() -> Result<ExitCode, String> {
-    let mut names: Vec<&str> = vec!["s27"];
-    names.extend(benchmarks::iscas89_suite());
-    names.extend(benchmarks::itc99_suite());
-    names.dedup();
     let mut checked = 0usize;
     let mut failures = 0usize;
-    for name in names {
+    for name in embedded_suite() {
         let circuit = benchmarks::load(name).expect("built-in benchmark");
         let mut variants = vec![(circuit.clone(), String::from(name))];
         if !circuit.dffs().is_empty() {
@@ -432,19 +539,131 @@ fn analyze_self_check() -> Result<ExitCode, String> {
     }
 }
 
+/// The lint knobs: `--scoap-threshold`, `--implication-limit`,
+/// `--no-testability` and the `--limit` ceilings.
+fn lint_config_from_args(args: &[String]) -> Result<LintConfig, String> {
+    let mut config = LintConfig {
+        testability: !args.iter().any(|a| a == "--no-testability"),
+        limits: limits_from_args(args)?,
+        ..LintConfig::default()
+    };
+    config.implication_net_limit =
+        parse_flag(args, "--implication-limit", config.implication_net_limit)?;
+    if let Some(threshold) = opt_flag(args, "--scoap-threshold")? {
+        config.control_threshold = threshold;
+        config.observe_threshold = threshold;
+    }
+    Ok(config)
+}
+
+/// One lint finding as a JSON object; `file` labels its source.
+fn diagnostic_json(file: &str, d: &Diagnostic) -> Json {
+    let mut members = vec![
+        ("file", Json::str(file)),
+        ("line", Json::num(d.span.line().unwrap_or(0) as u64)),
+        ("code", Json::str(d.code.code())),
+        ("rule", Json::str(d.code.slug())),
+        ("severity", Json::str(d.severity.label())),
+        ("message", Json::str(&d.message)),
+    ];
+    if let Some(net) = &d.net {
+        members.push(("net", Json::str(net)));
+    }
+    if let Some(suggestion) = &d.suggestion {
+        members.push(("suggestion", Json::str(suggestion)));
+    }
+    json_obj(members)
+}
+
+fn report_json(file: &str, report: &LintReport) -> Json {
+    Json::Arr(
+        report
+            .diagnostics()
+            .iter()
+            .map(|d| diagnostic_json(file, d))
+            .collect(),
+    )
+}
+
+fn cmd_lint(args: &[String]) -> Result<ExitCode, String> {
+    let json = args.iter().any(|a| a == "--json");
+    let linter = Linter::with_config(lint_config_from_args(args)?);
+    if args.iter().any(|a| a == "--self-check") {
+        return lint_self_check(&linter, json);
+    }
+    let target = circuit_arg(args, "lint")?;
+    let min = match flag_value(args, "--min-severity") {
+        None => Severity::Info,
+        Some(v) => {
+            Severity::parse(v).ok_or_else(|| format!("invalid value `{v}` for --min-severity"))?
+        }
+    };
+    let raw = load_raw(target, &linter.config().limits)?;
+    let report = if args.iter().any(|a| a == "--chains") {
+        let circuit = raw
+            .build()
+            .map_err(|e| format!("{target}: cannot build circuit for --chains: {e}"))?;
+        let chains = chains_from_args(args, &circuit)?;
+        linter.lint_scan(&ScanCircuit::insert_chains(&circuit, chains))
+    } else {
+        linter.lint_raw(&raw)
+    };
+    let shown = report.filtered(min);
+    if json {
+        println!("{}", report_json(target, &shown).render());
+    } else {
+        println!("{}", shown.render_human(target));
+    }
+    Ok(exit_status(report.has_errors()))
+}
+
+/// Lints every embedded benchmark, bare (its written-out `.bench` text)
+/// and scan-inserted (against the chain metadata), and fails if any
+/// error-severity finding turns up. This is what the CI lint gate runs.
+fn lint_self_check(linter: &Linter, json: bool) -> Result<ExitCode, String> {
+    let mut all_clean = true;
+    let mut items = Vec::new();
+    for name in embedded_suite() {
+        let c = embedded(name)?;
+        let scan_label = format!("{name}_scan");
+        let bare = linter.lint_source(name, &bench_format::write(&c));
+        let scan = linter.lint_scan(&ScanCircuit::insert(&c));
+        let clean = !bare.has_errors() && !scan.has_errors();
+        all_clean &= clean;
+        if json {
+            items.push(json_obj([
+                ("benchmark", Json::str(name)),
+                ("clean", Json::Bool(clean)),
+                ("bare", report_json(name, &bare)),
+                ("scan", report_json(&scan_label, &scan)),
+            ]));
+            continue;
+        }
+        println!(
+            "{name}: {} ({} finding(s) bare, {} scan-inserted)",
+            if clean { "ok" } else { "FAIL" },
+            bare.diagnostics().len(),
+            scan.diagnostics().len(),
+        );
+        for (label, report) in [(name, &bare), (scan_label.as_str(), &scan)] {
+            for d in report.diagnostics() {
+                println!("  {}", d.render_human(label).replace('\n', "\n  "));
+            }
+        }
+    }
+    if json {
+        println!("{}", Json::Arr(items).render());
+    } else if all_clean {
+        println!("self-check: all embedded benchmarks are error-clean");
+    } else {
+        println!("self-check: FAILED");
+    }
+    Ok(exit_status(!all_clean))
+}
+
 fn cmd_generate(args: &[String]) -> Result<ExitCode, String> {
-    let path = args.first().ok_or("generate: missing circuit argument")?;
-    let circuit = load_circuit(path)?;
-    if circuit.dffs().is_empty() {
-        return Err("circuit has no flip-flops; nothing to scan".into());
-    }
-    let chains: usize = parse_flag(args, "--chains", 1)?;
-    if chains == 0 || chains > circuit.dffs().len() {
-        return Err(format!(
-            "--chains must be between 1 and the flip-flop count ({})",
-            circuit.dffs().len()
-        ));
-    }
+    let circuit = load_circuit(circuit_arg(args, "generate")?)?;
+    let chains = chains_from_args(args, &circuit)?;
     let max_faults: usize = parse_flag(args, "--max-faults", 0)?;
     let engine = engine_from_args(args)?;
     let compact = !args.iter().any(|a| a == "--no-compact");
@@ -561,9 +780,8 @@ fn cmd_generate(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_compact(args: &[String]) -> Result<ExitCode, String> {
-    let circuit_arg = args.first().ok_or("compact: missing circuit argument")?;
+    let circuit = load_circuit(circuit_arg(args, "compact")?)?;
     let prog_arg = args.get(1).ok_or("compact: missing program argument")?;
-    let circuit = load_circuit(circuit_arg)?;
     if circuit.dffs().is_empty() {
         return Err("circuit has no flip-flops; nothing to scan".into());
     }
@@ -737,12 +955,7 @@ fn equiv_opts_from_args(args: &[String]) -> Result<EquivOptions, String> {
         steps: parse_flag(args, "--steps", d.steps)?,
         rounds: parse_flag(args, "--rounds", d.rounds)?,
         seed: parse_flag(args, "--seed", d.seed)?,
-        threads: flag_value(args, "--threads")
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| format!("invalid value `{v}` for --threads"))
-            })
-            .transpose()?,
+        threads: opt_flag(args, "--threads")?,
         forces: forces_from_args(args)?,
     };
     if opts.steps == 0 || opts.rounds == 0 {
@@ -795,11 +1008,7 @@ fn cmd_equiv(args: &[String]) -> Result<ExitCode, String> {
     if args.iter().any(|a| a == "--self-check") {
         return equiv_self_check(args);
     }
-    let left_arg = args.first().ok_or("equiv: missing circuit argument")?;
-    if left_arg.starts_with("--") {
-        return Err(format!("equiv: expected a circuit, got `{left_arg}`"));
-    }
-    let left = load_circuit(left_arg)?;
+    let left = load_circuit(circuit_arg(args, "equiv")?)?;
     let (obs, metrics) = obs_from_args(args)?;
     let config = FlowConfig {
         obs,
@@ -813,11 +1022,7 @@ fn cmd_equiv(args: &[String]) -> Result<ExitCode, String> {
         let cand_arg = args
             .get(i + 2)
             .ok_or("--diff needs <original.txt> <candidate.txt>")?;
-        let chains: usize = parse_flag(args, "--chains", 1)?;
-        if left.dffs().is_empty() {
-            return Err("circuit has no flip-flops; nothing to scan".into());
-        }
-        let sc = ScanCircuit::insert_chains(&left, chains);
+        let sc = ScanCircuit::insert_chains(&left, chains_from_args(args, &left)?);
         let mut programs = Vec::with_capacity(2);
         for arg in [orig_arg, cand_arg] {
             let text =
@@ -877,11 +1082,7 @@ fn cmd_equiv(args: &[String]) -> Result<ExitCode, String> {
     if metrics {
         eprint!("{}", flow.report.render());
     }
-    Ok(if report_verdict(left.name(), &flow.verdict) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    })
+    Ok(exit_status(!report_verdict(left.name(), &flow.verdict)))
 }
 
 /// The built-in proof obligations: every small benchmark must be
@@ -968,32 +1169,14 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     let quota = TenantQuota {
         max_queued: parse_flag(args, "--max-queued", defaults.max_queued)?,
         max_concurrent: parse_flag(args, "--max-concurrent", defaults.max_concurrent)?,
-        max_vectors: flag_value(args, "--max-vectors")
-            .map(|v| {
-                v.parse()
-                    .map_err(|_| format!("invalid value `{v}` for --max-vectors"))
-            })
-            .transpose()?,
+        max_vectors: opt_flag(args, "--max-vectors")?,
     };
-    let mut limits = limscan::netlist::ParseLimits::default();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--limit" {
-            let spec = args
-                .get(i + 1)
-                .ok_or("--limit needs a key=value argument")?;
-            limits.apply(spec)?;
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
     let cfg = ServerConfig {
         workers: parse_flag(args, "--workers", 2)?,
         slice_checkpoints: parse_flag(args, "--slice", 1)?,
         quota,
         trace_jobs: args.iter().any(|a| a == "--trace-jobs"),
-        limits,
+        limits: limits_from_args(args)?,
         ..ServerConfig::new(dir)
     };
     if cfg.workers == 0 {
@@ -1002,19 +1185,11 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     let transport_defaults = limscan_serve::socket::SocketConfig::default();
     let timeout_flag =
         |flag: &str, default: Option<Duration>| -> Result<Option<Duration>, String> {
-            match flag_value(args, flag) {
-                None => Ok(default),
-                Some(v) => {
-                    let secs: f64 = v
-                        .parse()
-                        .map_err(|_| format!("invalid value `{v}` for {flag}"))?;
-                    if !secs.is_finite() || secs < 0.0 {
-                        return Err(format!("invalid value `{v}` for {flag}"));
-                    }
-                    // 0 disables the timeout.
-                    Ok((secs > 0.0).then(|| Duration::from_secs_f64(secs)))
-                }
-            }
+            Ok(match secs_flag(args, flag)? {
+                None => default,
+                // 0 disables the timeout.
+                Some(d) => (!d.is_zero()).then_some(d),
+            })
         };
     let transport = limscan_serve::socket::SocketConfig {
         max_frame_bytes: parse_flag(
@@ -1093,9 +1268,5 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
             .unwrap_or(false);
         failed |= !ok;
     }
-    Ok(if failed {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    })
+    Ok(exit_status(failed))
 }

@@ -209,3 +209,177 @@ fn help_prints_usage() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
 }
+
+/// The cyclic source of the flow gate's tests: a combinational self-loop
+/// on line 6, which also dangles.
+const CYCLIC_SRC: &str = "\
+INPUT(a)
+OUTPUT(y)
+y = AND(a, q)
+q = DFF(g)
+g = NOT(y)
+loopy = OR(loopy, a)
+";
+
+/// Runs `limscan lint` with `args` from the test directory; returns the
+/// exit status and stdout.
+fn lint(args: &[&str]) -> (Option<i32>, String) {
+    let out = limscan()
+        .arg("lint")
+        .args(args)
+        .current_dir(temp_path(""))
+        .output()
+        .expect("spawn");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+    )
+}
+
+#[test]
+fn lint_exit_statuses_follow_error_findings() {
+    let (status, stdout) = lint(&["s27"]);
+    assert_eq!(status, Some(0), "{stdout}");
+
+    // Warnings alone are not a failure, even though they are printed.
+    std::fs::write(
+        temp_path("dangling.bench"),
+        "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\ndead = NOT(a)\n",
+    )
+    .expect("write bench");
+    let (status, stdout) = lint(&["dangling.bench"]);
+    assert_eq!(status, Some(0), "{stdout}");
+    assert!(stdout.contains("warning[L004] dangling-gate"), "{stdout}");
+    assert!(
+        stdout.ends_with("dangling.bench: 0 error(s), 2 warning(s), 0 info\n"),
+        "{stdout}"
+    );
+
+    std::fs::write(temp_path("cyclic.bench"), CYCLIC_SRC).expect("write bench");
+    let (status, stdout) = lint(&["cyclic.bench"]);
+    assert_eq!(status, Some(1), "{stdout}");
+    assert!(stdout.contains("cyclic.bench:6: error[L001]"), "{stdout}");
+    // Hiding the error does not change the status.
+    let (status, _) = lint(&["cyclic.bench", "--min-severity", "error"]);
+    assert_eq!(status, Some(1));
+
+    let (status, _) = lint(&[]);
+    assert_eq!(status, Some(2));
+}
+
+#[test]
+fn lint_limit_violation_is_an_l007_error() {
+    std::fs::write(
+        temp_path("tiny.bench"),
+        "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n",
+    )
+    .expect("write bench");
+    let (status, stdout) = lint(&["tiny.bench", "--limit", "nets=2"]);
+    assert_eq!(status, Some(1), "{stdout}");
+    assert!(stdout.contains("error[L007] limit-exceeded"), "{stdout}");
+    let (status, stdout) = lint(&["tiny.bench"]);
+    assert_eq!(status, Some(0), "{stdout}");
+}
+
+#[test]
+fn lint_json_is_pinned_on_the_cyclic_source() {
+    std::fs::write(temp_path("cyclic_json.bench"), CYCLIC_SRC).expect("write bench");
+    let (status, stdout) = lint(&["cyclic_json.bench", "--json"]);
+    assert_eq!(status, Some(1));
+    assert_eq!(
+        stdout,
+        concat!(
+            r#"[{"file":"cyclic_json.bench","line":6,"code":"L001","rule":"combinational-cycle","#,
+            r#""severity":"error","message":"combinational cycle: loopy -> loopy","net":"loopy","#,
+            r#""suggestion":"break the loop with a flip-flop or re-express the logic acyclically"},"#,
+            r#"{"file":"cyclic_json.bench","line":6,"code":"L004","rule":"dangling-gate","#,
+            r#""severity":"warning","message":"gate `loopy` drives no primary output or flip-flop "#,
+            r#"in any time frame","net":"loopy","suggestion":"add OUTPUT(loopy) or remove the dead logic"}]"#,
+            "\n"
+        )
+    );
+}
+
+/// A one-flip-flop BLIF netlist named `model`, with a dangling cover on
+/// line 10 so that lint has a finding to report.
+fn blif_source(model: &str) -> String {
+    format!(
+        ".model {model}\n.inputs a b\n.outputs y\n.latch d q 0\n.names a q d\n11 1\n\
+         .names b q y\n10 1\n01 1\n.names a dead\n0 1\n.end\n"
+    )
+}
+
+#[test]
+fn lint_reads_blif_files_as_blif() {
+    let blif = temp_path("lint_smoke.blif");
+    std::fs::write(&blif, blif_source("smoke")).expect("write blif");
+    let (status, stdout) = lint(&[blif.to_str().unwrap()]);
+    assert_eq!(status, Some(0), "{stdout}");
+    assert!(!stdout.contains("L000"), "{stdout}");
+    assert!(stdout.contains(":10: warning[L004]"), "{stdout}");
+}
+
+#[test]
+fn lint_checks_scan_inserted_chains_and_the_embedded_suite() {
+    let (status, stdout) = lint(&["s298", "--chains", "2"]);
+    assert_eq!(status, Some(0), "{stdout}");
+    assert!(stdout.contains("s298: 0 error(s)"), "{stdout}");
+    let (status, stdout) = lint(&["--self-check"]);
+    assert_eq!(status, Some(0), "{stdout}");
+    assert!(
+        stdout.ends_with("self-check: all embedded benchmarks are error-clean\n"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn equiv_diff_rejects_bad_chain_counts() {
+    let prog = temp_path("s27_diff.prog");
+    let out = limscan()
+        .args(["generate", "s27", "-o", prog.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    for chains in ["0", "9"] {
+        let prog = prog.to_str().unwrap();
+        let out = limscan()
+            .args(["equiv", "s27", "--diff", prog, prog, "--chains", chains])
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(
+            stderr.contains("error: --chains must be between 1 and the flip-flop count (3)"),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn json_outputs_keep_a_quoted_circuit_name() {
+    use limscan::obs::Json;
+
+    let blif = temp_path("we\"ird.blif");
+    std::fs::write(&blif, blif_source("we\"ird")).expect("write blif");
+    let path = blif.to_str().unwrap();
+    let json_of = |command: &str| {
+        let out = limscan()
+            .args([command, path, "--json"])
+            .output()
+            .expect("spawn");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        Json::parse(stdout.trim_end())
+            .unwrap_or_else(|e| panic!("`{command} --json` printed invalid JSON ({e}): {stdout}"))
+    };
+    let summary = json_of("analyze");
+    assert_eq!(
+        summary.get("circuit").and_then(Json::as_str),
+        Some("we\"ird")
+    );
+    let findings = json_of("lint");
+    let findings = findings.as_arr().expect("an array of findings");
+    assert!(!findings.is_empty());
+    for finding in findings {
+        assert_eq!(finding.get("file").and_then(Json::as_str), Some(path));
+    }
+}

@@ -10,7 +10,7 @@
 #  3. run a hierarchical `.subckt` BLIF through generate -> compact ->
 #     equiv, proving the flattening front-end feeds the full flow;
 #  4. check the `--limit` ceilings reject an over-budget netlist with the
-#     typed error on both the lint CLI and a daemon submit.
+#     typed error on both `limscan lint` and a daemon submit.
 #
 # Usage: scripts/fuzz_smoke.sh
 set -euo pipefail
@@ -24,9 +24,8 @@ cleanup() {
 }
 trap cleanup EXIT
 
-cargo build --release -q -p limscan-serve -p limscan-lint
+cargo build --release -q -p limscan-serve
 LIMSCAN=target/release/limscan
-LINT=target/release/limscan-lint
 STATE="$WORK/state"
 SOCK="$WORK/serve.sock"
 
@@ -165,12 +164,12 @@ echo "ok: flattened hierarchy survives the full flow"
 
 echo "== lint --limit surfaces L007 =="
 printf 'INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n' > "$WORK/tiny.bench"
-if "$LINT" "$WORK/tiny.bench" --limit nets=2 >"$WORK/lint.out" 2>&1; then
+if "$LIMSCAN" lint "$WORK/tiny.bench" --limit nets=2 >"$WORK/lint.out" 2>&1; then
     echo "FAIL: lint exited 0 despite a limit violation"; exit 1
 fi
 grep -q "L007" "$WORK/lint.out" \
     || { echo "FAIL: no L007 finding in lint output"; cat "$WORK/lint.out"; exit 1; }
-"$LINT" "$WORK/tiny.bench" >/dev/null \
+"$LIMSCAN" lint "$WORK/tiny.bench" >/dev/null \
     || { echo "FAIL: default limits flag a tiny netlist"; exit 1; }
 echo "ok: lint enforces --limit ceilings as L007"
 
