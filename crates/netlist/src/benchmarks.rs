@@ -447,16 +447,4 @@ mod tests {
             assert!(paper_profile(name).is_some(), "missing profile for {name}");
         }
     }
-
-    /// The CLI self-checks sweep the Table 5/6 suites only, which is
-    /// enough while Table 7 draws from them.
-    #[test]
-    fn table7_circuits_are_in_the_table5_suites() {
-        for name in table7_suite() {
-            assert!(
-                iscas89_suite().contains(name) || itc99_suite().contains(name),
-                "{name} is only in Table 7"
-            );
-        }
-    }
 }

@@ -148,7 +148,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  limscan info <circuit.bench | benchmark-name>
+  limscan info <circuit>
   limscan analyze <circuit> [--scan] [--chains N] [--json]
   limscan analyze --self-check
   limscan lint <circuit> [--json] [--chains N]
@@ -212,7 +212,6 @@ fn budget_from_args(args: &[String]) -> Result<(RunBudget, bool), String> {
     ))
 }
 
-/// Netlist file formats.
 enum Format {
     Bench,
     Blif,
@@ -335,15 +334,17 @@ fn parse_flag<T: FromStr>(args: &[String], flag: &str, default: T) -> Result<T, 
     Ok(opt_flag(args, flag)?.unwrap_or(default))
 }
 
-/// A finite, non-negative seconds value for `flag`, if it is given.
+/// A duration in seconds for `flag`, if it is given; a negative, NaN or
+/// too large value is an error.
 fn secs_flag(args: &[String], flag: &str) -> Result<Option<Duration>, String> {
-    match opt_flag::<f64>(args, flag)? {
-        Some(secs) if !secs.is_finite() || secs < 0.0 => Err(format!(
-            "invalid value `{}` for {flag}",
-            flag_value(args, flag).unwrap_or_default()
-        )),
-        secs => Ok(secs.map(Duration::from_secs_f64)),
-    }
+    flag_value(args, flag)
+        .map(|v| {
+            v.parse()
+                .ok()
+                .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+                .ok_or_else(|| format!("invalid value `{v}` for {flag}"))
+        })
+        .transpose()
 }
 
 fn engine_from_args(args: &[String]) -> Result<Engine, String> {

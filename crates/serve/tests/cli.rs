@@ -187,10 +187,16 @@ fn errors_are_reported_with_nonzero_exit() {
         .expect("spawn");
     assert!(!out.status.success());
 
-    // Invalid chain counts must be clean errors, not panics.
-    for chains in ["0", "9"] {
+    // Invalid chain counts and durations must be clean errors, not panics.
+    for flags in [
+        ["--chains", "0"],
+        ["--chains", "9"],
+        ["--deadline", "-1"],
+        ["--deadline", "1e300"],
+    ] {
         let out = limscan()
-            .args(["generate", "s27", "--chains", chains])
+            .args(["generate", "s27"])
+            .args(flags)
             .output()
             .expect("spawn");
         assert!(!out.status.success());
@@ -330,6 +336,19 @@ fn lint_checks_scan_inserted_chains_and_the_embedded_suite() {
         stdout.ends_with("self-check: all embedded benchmarks are error-clean\n"),
         "{stdout}"
     );
+}
+
+/// Both self-checks sweep s27 and the Table 5/6 suites, which covers
+/// Table 7 only while its circuits are drawn from them.
+#[test]
+fn self_checks_cover_the_table7_suite() {
+    use limscan::benchmarks::{iscas89_suite, itc99_suite, table7_suite};
+    for name in table7_suite() {
+        assert!(
+            iscas89_suite().contains(name) || itc99_suite().contains(name),
+            "{name} is only in Table 7"
+        );
+    }
 }
 
 #[test]
