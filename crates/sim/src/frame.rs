@@ -60,9 +60,7 @@ use crate::parallel::WideWord;
 pub struct FrameSim<'a> {
     circuit: &'a Circuit,
     topo: Arc<Topology>,
-    inj: WideInjection<1>,
-    /// Value slots: nets first, then the op stream's shared scratch.
-    vals: Vec<WideWord<1>>,
+    frame: Frame,
 }
 
 impl<'a> FrameSim<'a> {
@@ -74,19 +72,11 @@ impl<'a> FrameSim<'a> {
 
     /// An evaluator over an already compiled topology of `circuit`.
     pub(crate) fn with_topology(circuit: &'a Circuit, topo: Arc<Topology>) -> Self {
-        let flat = &topo.flat;
-        let inj = WideInjection::new(
-            circuit.net_count(),
-            flat.ops.len(),
-            circuit.comb_order().len(),
-            circuit.dffs().len(),
-        );
-        let vals = vec![WideWord::ALL_X; flat.n_slots];
+        let frame = Frame::new(circuit, &topo);
         FrameSim {
             circuit,
             topo,
-            inj,
-            vals,
+            frame,
         }
     }
 
@@ -99,50 +89,45 @@ impl<'a> FrameSim<'a> {
     /// lane fault-free, replacing the previous injection. `None` makes
     /// every lane fault-free.
     pub fn inject(&mut self, fault: Option<Fault>, lanes: u64) {
-        self.inj
-            .load_fault(self.circuit, &self.topo, fault, &[lanes]);
+        self.frame.inject(self.circuit, &self.topo, fault, lanes);
     }
 
     /// Sets primary input `pos` (declaration order) in every lane.
     #[inline]
     pub fn set_input(&mut self, pos: usize, w: WideWord<1>) {
-        let net = self.topo.pi()[pos] as usize;
-        self.vals[net] = self.inj.force_src(net, w);
+        self.frame.set_input(&self.topo, pos, w);
     }
 
     /// Sets the present state of flip-flop `ff` (chain order) in every
     /// lane.
     #[inline]
     pub fn set_state(&mut self, ff: usize, w: WideWord<1>) {
-        let net = self.topo.dff_q()[ff] as usize;
-        self.vals[net] = self.inj.force_src(net, w);
+        self.frame.set_state(&self.topo, ff, w);
     }
 
     /// Evaluates every gate of the frame from the current source values.
     pub fn eval(&mut self) {
-        let ops = &self.topo.flat.ops;
-        sweep_ops(ops, &mut self.vals, &self.inj, 0, ops.len() as u32);
+        self.frame.eval(&self.topo);
     }
 
     /// The value of `net` after the last [`eval`](Self::eval).
     #[inline]
     pub fn net(&self, net: NetId) -> WideWord<1> {
-        self.vals[net.index()]
+        self.frame.vals[net.index()]
     }
 
     /// Every net's value after the last [`eval`](Self::eval), indexed by
     /// [`NetId::index`].
     #[inline]
     pub fn nets(&self) -> &[WideWord<1>] {
-        &self.vals[..self.circuit.net_count()]
+        &self.frame.vals[..self.circuit.net_count()]
     }
 
     /// The next state of flip-flop `ff`: its D net's value, with an
     /// injected D-pin branch fault applied.
     #[inline]
     pub fn next_state(&self, ff: usize) -> WideWord<1> {
-        let d = self.topo.dff_d()[ff] as usize;
-        self.inj.force_ff(ff, self.vals[d])
+        self.frame.next_state(&self.topo, ff)
     }
 
     /// Applies `inputs` to a fault-free machine in lane 0, starting from
@@ -155,8 +140,82 @@ impl<'a> FrameSim<'a> {
     /// `inject(Some(fault), 0b10)`). The other lanes start from the all-X
     /// state.
     pub fn step_pair(&mut self, inputs: &[Logic], good: &mut [Logic], bad: &mut [Logic]) -> bool {
+        self.frame.step_pair(&self.topo, inputs, good, bad)
+    }
+}
+
+/// What a frame evaluator owns: the fault injection and the value slots.
+/// It borrows nothing — every call takes the [`Topology`] it was sized
+/// for — so a thread can keep one between uses, as the omission trials'
+/// fault probe does (`crate::checkpoint`). [`FrameSim`] is one of these
+/// plus its circuit and topology.
+pub(crate) struct Frame {
+    inj: WideInjection<1>,
+    /// Value slots: nets first, then the op stream's shared scratch.
+    vals: Vec<WideWord<1>>,
+}
+
+impl Frame {
+    /// An evaluator for `topo`, compiled from `circuit`, with every lane
+    /// fault-free and every value X.
+    pub(crate) fn new(circuit: &Circuit, topo: &Topology) -> Self {
+        let flat = &topo.flat;
+        Frame {
+            inj: WideInjection::new(
+                circuit.net_count(),
+                flat.ops.len(),
+                circuit.comb_order().len(),
+                circuit.dffs().len(),
+            ),
+            vals: vec![WideWord::ALL_X; flat.n_slots],
+        }
+    }
+
+    /// See [`FrameSim::inject`].
+    pub(crate) fn inject(
+        &mut self,
+        circuit: &Circuit,
+        topo: &Topology,
+        fault: Option<Fault>,
+        lanes: u64,
+    ) {
+        self.inj.load_fault(circuit, topo, fault, &[lanes]);
+    }
+
+    #[inline]
+    fn set_input(&mut self, topo: &Topology, pos: usize, w: WideWord<1>) {
+        let net = topo.pi()[pos] as usize;
+        self.vals[net] = self.inj.force_src(net, w);
+    }
+
+    #[inline]
+    fn set_state(&mut self, topo: &Topology, ff: usize, w: WideWord<1>) {
+        let net = topo.dff_q()[ff] as usize;
+        self.vals[net] = self.inj.force_src(net, w);
+    }
+
+    #[inline]
+    fn eval(&mut self, topo: &Topology) {
+        let ops = &topo.flat.ops;
+        sweep_ops(ops, &mut self.vals, &self.inj, 0, ops.len() as u32);
+    }
+
+    #[inline]
+    fn next_state(&self, topo: &Topology, ff: usize) -> WideWord<1> {
+        let d = topo.dff_d()[ff] as usize;
+        self.inj.force_ff(ff, self.vals[d])
+    }
+
+    /// See [`FrameSim::step_pair`].
+    pub(crate) fn step_pair(
+        &mut self,
+        topo: &Topology,
+        inputs: &[Logic],
+        good: &mut [Logic],
+        bad: &mut [Logic],
+    ) -> bool {
         for (pos, &v) in inputs.iter().enumerate() {
-            self.set_input(pos, WideWord::broadcast(v));
+            self.set_input(topo, pos, WideWord::broadcast(v));
         }
         for (ff, (&g, &b)) in good.iter().zip(bad.iter()).enumerate() {
             let (g, b) = (WideWord::<1>::broadcast(g), WideWord::<1>::broadcast(b));
@@ -164,15 +223,15 @@ impl<'a> FrameSim<'a> {
                 v0: [(g.v0[0] & 0b01) | (b.v0[0] & 0b10)],
                 v1: [(g.v1[0] & 0b01) | (b.v1[0] & 0b10)],
             };
-            self.set_state(ff, pair);
+            self.set_state(topo, ff, pair);
         }
-        self.eval();
-        let detected = self.topo.po().iter().any(|&o| {
+        self.eval(topo);
+        let detected = topo.po().iter().any(|&o| {
             let w = self.vals[o as usize];
             w.lane(0).conflicts(w.lane(1))
         });
         for (ff, (g, b)) in good.iter_mut().zip(bad.iter_mut()).enumerate() {
-            let w = self.next_state(ff);
+            let w = self.next_state(topo, ff);
             *g = w.lane(0);
             *b = w.lane(1);
         }
