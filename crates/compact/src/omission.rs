@@ -22,9 +22,11 @@
 //!   re-detected or settled from the recording, or one is provably lost
 //!   (see `limscan_sim::checkpoint`). Batches are checked fail-first: every
 //!   trial starts at the batch that failed the last committed failing
-//!   trial, a hint the pass keeps on its coordinating thread. Independent
-//!   candidates fan out across threads (`set_sim_threads`), committed in
-//!   order so results are bit-identical for every thread count.
+//!   trial, and before any batch runs it steps the fault that trial lost on
+//!   its own, which alone decides most failing trials. The pass keeps this
+//!   hint (a [`Loss`]) on its coordinating thread. Independent candidates
+//!   fan out across threads (`set_sim_threads`), committed in order so
+//!   results are bit-identical for every thread count.
 //! * [`omission_reference`] — the original implementation: a cloned
 //!   [`SeqFaultSim`] per trial, full suffix re-simulation. Kept as the
 //!   bit-exact oracle anchoring the differential test suite; production
@@ -36,7 +38,7 @@ use limscan_fault::{FaultId, FaultList};
 use limscan_harness::{CancelToken, StopReason};
 use limscan_netlist::Circuit;
 use limscan_obs::{Metric, ObsHandle, SpanKind};
-use limscan_sim::{sim_threads, PrefixState, SeqFaultSim, TestSequence, TrialCheckpoints};
+use limscan_sim::{sim_threads, Loss, PrefixState, SeqFaultSim, TestSequence, TrialCheckpoints};
 
 use crate::Compacted;
 
@@ -146,11 +148,11 @@ fn omission_pass(
     let mut prefix = ck.initial_prefix();
     let mut changed = false;
     let threads = sim_threads().max(1);
-    // Fail-first batch order: every trial of a wave starts at the batch
-    // that failed the last committed failing trial. Kept here, on the
-    // coordinating thread, so each trial's work is deterministic for a
-    // given thread count.
-    let mut first_batch = 0usize;
+    // Fail-first order: every trial of a wave starts at the batch that
+    // failed the last committed failing trial, and first steps the fault
+    // that trial lost. Kept here, on the coordinating thread, so each
+    // trial's work is deterministic for a given thread count.
+    let mut hint: Option<Loss> = None;
 
     let mut o = 0usize;
     while o < len {
@@ -158,8 +160,12 @@ fn omission_pass(
         if threads > 1 {
             // Fold the kept vectors logged since the last wave into every
             // open batch here, once, rather than in every worker's clone,
-            // where the work would be thrown away with the clone.
+            // where the work would be thrown away with the clone; the
+            // clones then share the hinted fault's state too.
             ck.catch_up(&mut prefix);
+            if let Some(loss) = hint {
+                ck.follow(&mut prefix, loss);
+            }
         }
         if prefix.all_detected() {
             // The kept prefix alone covers every target: every
@@ -177,9 +183,9 @@ fn omission_pass(
         // in-order commit below keeps only verdicts whose assumption
         // held, so the keep mask cannot depend on scheduling.
         let wave = threads.min(len - o);
-        let mut verdicts: Vec<Option<Result<(), usize>>> = if wave <= 1 {
+        let verdicts: Vec<Option<Result<(), Loss>>> = if wave <= 1 {
             let _trial = pass_span.child_indexed(SpanKind::Trial, "trial", o as u64);
-            vec![checked_trial(&ck, &mut prefix, o, first_batch)]
+            vec![checked_trial(&ck, &mut prefix, o, hint)]
         } else {
             let next = AtomicUsize::new(0);
             let mut verdicts = vec![None; wave];
@@ -200,7 +206,7 @@ fn omission_pass(
                                 }
                                 let _trial =
                                     pass_obs.span_indexed(SpanKind::Trial, "trial", (o + i) as u64);
-                                out.push((i, checked_trial(ck, &mut p, o + i, first_batch)));
+                                out.push((i, checked_trial(ck, &mut p, o + i, hint)));
                             }
                             out
                         })
@@ -222,23 +228,28 @@ fn omission_pass(
         // Graceful degradation: recompute any verdict lost to a panic by
         // full re-simulation of the trial sequence. Slower, but bit-exact —
         // the oracle path the differential suite pins the engine to.
-        for (i, v) in verdicts.iter_mut().enumerate() {
-            if v.is_none() {
-                let c = o + i;
-                pass_obs.degrade("omission-trial", c as u64);
-                pass_obs.counter(Metric::DegradedTrials, 1);
-                // The oracle names no failing batch: keep the hint.
-                *v = Some(if reference_trial(circuit, targets, current, &keep, c) {
-                    Ok(())
-                } else {
-                    Err(first_batch)
-                });
-            }
-        }
+        let verdicts: Vec<Result<(), Option<Loss>>> = verdicts
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| match v {
+                Some(verdict) => verdict.map_err(Some),
+                None => {
+                    let c = o + i;
+                    pass_obs.degrade("omission-trial", c as u64);
+                    pass_obs.counter(Metric::DegradedTrials, 1);
+                    // The oracle names no loss: the hint stays.
+                    if reference_trial(circuit, targets, current, &keep, c) {
+                        Ok(())
+                    } else {
+                        Err(None)
+                    }
+                }
+            })
+            .collect();
         let mut omitted = false;
-        for (i, v) in verdicts.iter().enumerate() {
+        for (i, v) in verdicts.into_iter().enumerate() {
             let c = o + i;
-            match v.expect("every lost verdict was recomputed above") {
+            match v {
                 Ok(()) => {
                     keep[c] = false;
                     pass_obs.counter(Metric::TrialsCommitted, 1);
@@ -247,7 +258,7 @@ fn omission_pass(
                     omitted = true;
                     break; // later verdicts assumed `c` kept — invalid now
                 }
-                Err(b) => first_batch = b,
+                Err(loss) => hint = loss.or(hint),
             }
             ck.advance(&mut prefix, c);
         }
@@ -259,20 +270,21 @@ fn omission_pass(
     Ok((current.select(&keep), changed))
 }
 
-/// A checkpointed trial, checking batch `first_batch` first, with panic
-/// confinement: `None` means the trial panicked (worker bug or injected
-/// fault) and its verdict must be recomputed on the oracle path. The
-/// batches the trial caught up stay caught up in `prefix`; a panic leaves
-/// each batch either caught up or as it was.
+/// A checkpointed trial, checking the hinted batch first (batch 0 without
+/// a hint) and probing the hinted fault, with panic confinement: `None`
+/// means the trial panicked (worker bug or injected fault) and its verdict
+/// must be recomputed on the oracle path. The batches the trial caught up
+/// stay caught up in `prefix`; a panic leaves each batch either caught up
+/// or as it was.
 fn checked_trial(
     ck: &TrialCheckpoints<'_>,
     prefix: &mut PrefixState,
     candidate: usize,
-    first_batch: usize,
-) -> Option<Result<(), usize>> {
+    hint: Option<Loss>,
+) -> Option<Result<(), Loss>> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         limscan_sim::fail_inject::panic_trial_point();
-        ck.trial(prefix, candidate, first_batch)
+        ck.trial(prefix, candidate, hint.map_or(0, |h| h.batch), hint)
     }))
     .ok()
 }

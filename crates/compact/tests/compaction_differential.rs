@@ -131,7 +131,8 @@ fn s298_class_differential_eight_seeds_one_and_many_threads() {
 
 /// Omission over a full fault list that spans at least three batches: a
 /// trial's verdict is the AND over its batches, so this is the case where
-/// the order in which the trial engine checks batches could show.
+/// the order in which the trial engine checks batches, starting with the
+/// batch and fault the last failing trial lost, could show.
 #[test]
 fn multi_batch_omission_matches_the_oracle_one_and_three_threads() {
     let _guard = thread_lock();

@@ -27,9 +27,27 @@
 //! A trial's verdict is the AND over its batches, so the order in which
 //! batches are checked changes its cost, never its outcome.
 //! [`TrialCheckpoints::trial`] starts at a caller-chosen batch and names
-//! the batch that failed it; the omission pass feeds that back as the next
-//! trials' first batch (fail-first order), so a failing trial usually
-//! stops after one batch.
+//! the batch that failed it, with a lane of it that is lost (a [`Loss`]);
+//! the omission pass feeds that back as the next trials' first batch
+//! (fail-first order), so a failing trial usually stops after one batch.
+//!
+//! **The fault probe.** Consecutive failing trials mostly lose the very
+//! same fault, so the loss is also a hint: before any batch runs, a trial
+//! whose hinted fault is in batch `first` steps that fault alone, as one
+//! (fault-free, faulty) pair on the compiled frame, through its tail. The
+//! probe decides only two ways. The trial fails at batch `first` when the
+//! pair is back on the recording at an aligned time unit — the fault-free
+//! state equals the recorded one and the faulty state equals the lane's
+//! snapshot — and the recorded future misses the fault; that is the
+//! per-lane convergence exit for this one lane, and it emits the
+//! `checkpoint_hits` count the batch would have. It also fails when the
+//! tail ends with the fault undetected, with no count (the batch could
+//! have met another lost lane at a snapshot first, so `checkpoint_hits`
+//! can read lower than without the probe). Whenever the pair detects the
+//! fault, or meets a recorded future that does, the batches decide the
+//! trial as before. The probe runs only for a fault of batch `first`: a
+//! failing trial names the first failing batch counted from `first`, so a
+//! loss anywhere else would still leave the batches before it to check.
 //!
 //! Trials start from the kept prefix ([`PrefixState`]). Keeping a vector
 //! ([`TrialCheckpoints::advance`]) costs one fault-free step, which is
@@ -39,7 +57,12 @@
 //! does. [`TrialCheckpoints::catch_up`] folds the log into every open
 //! batch at once. The log keeps only what the batch furthest behind still
 //! needs: at most one fault-free row and state per kept vector, no more
-//! than the recorded trace.
+//! than the recorded trace. The prefix also carries the hinted fault's
+//! faulty state: [`TrialCheckpoints::follow`] reads it from the lane words
+//! of its batch, caught up first, when the hint changes; every kept vector
+//! steps it as a pair; and it is dropped once the prefix detects the
+//! fault. Each thread keeps its own pair evaluator, over the recording's
+//! topology, in thread-local scratch, so the trial path takes no lock.
 //!
 //! The alignment is sound because omission only ever drops vectors to the
 //! *left* of the trial point: the vectors applied after a trial at `t` are
@@ -53,12 +76,14 @@
 //! to re-simulating the shortened sequence from scratch.
 
 use std::cell::RefCell;
+use std::sync::{Arc, Weak};
 
-use limscan_fault::{FaultId, FaultList};
+use limscan_fault::{Fault, FaultId, FaultList};
 use limscan_netlist::Circuit;
 use limscan_obs::{Metric, ObsHandle};
 
 use crate::engine::{with_kernel, BatchStepper, KernelScratch, Topology};
+use crate::frame::Frame;
 use crate::logic::Logic;
 use crate::parallel::{mask, WideWord, LANES, LANE_WORDS};
 use crate::sequence::TestSequence;
@@ -103,6 +128,92 @@ struct TrialScratch {
     states: Vec<Logic>,
     /// Intra-gate temp slots for the scalar flat evaluation.
     tmp: Vec<Logic>,
+    /// The hinted fault's pair evaluator, rebuilt when a recording of
+    /// another circuit uses this thread.
+    pair: Option<PairProbe>,
+}
+
+impl TrialScratch {
+    /// This thread's pair evaluator for `topo`, compiled from `circuit`.
+    fn pair(&mut self, circuit: &Circuit, topo: &Arc<Topology>) -> &mut PairProbe {
+        let fits = self
+            .pair
+            .as_ref()
+            .is_some_and(|p| Weak::as_ptr(&p.topo) == Arc::as_ptr(topo));
+        if !fits {
+            self.pair = None;
+        }
+        self.pair.get_or_insert_with(|| PairProbe {
+            topo: Arc::downgrade(topo),
+            frame: Frame::new(circuit, topo),
+            good: Vec::new(),
+            bad: Vec::new(),
+        })
+    }
+}
+
+/// One fault stepped alone: a (fault-free, faulty) state pair on the
+/// compiled frame, lane 0 fault-free and lane 1 faulty.
+struct PairProbe {
+    /// The topology `frame` was sized for. Held weakly: the allocation
+    /// outlives the recording, so no other topology can take its address
+    /// while this evaluator is kept.
+    topo: Weak<Topology>,
+    frame: Frame,
+    good: Vec<Logic>,
+    bad: Vec<Logic>,
+}
+
+impl PairProbe {
+    /// Injects `fault` into lane 1 and loads the pair's states.
+    fn start(
+        &mut self,
+        circuit: &Circuit,
+        topo: &Topology,
+        fault: Fault,
+        good: &[Logic],
+        bad: &[Logic],
+    ) {
+        self.frame.inject(circuit, topo, Some(fault), 0b10);
+        self.good.clear();
+        self.good.extend_from_slice(good);
+        self.bad.clear();
+        self.bad.extend_from_slice(bad);
+    }
+
+    /// Applies `vector` to the pair; returns whether it detects the fault.
+    fn step(&mut self, topo: &Topology, vector: &[Logic]) -> bool {
+        self.frame
+            .step_pair(topo, vector, &mut self.good, &mut self.bad)
+    }
+}
+
+/// Whether `state` equals lane `lane` of the sparse snapshot `snap`
+/// (sorted by flip-flop index; a flip-flop without an entry holds the
+/// fault-free value in `good`).
+fn lane_matches(snap: &[(u32, Wide)], good: &[Logic], lane: usize, state: &[Logic]) -> bool {
+    let mut entries = snap.iter().peekable();
+    state.iter().zip(good).enumerate().all(|(ff, (&s, &g))| {
+        let recorded = match entries.next_if(|e| e.0 as usize == ff) {
+            Some(&(_, w)) => w.lane(lane),
+            None => g,
+        };
+        s == recorded
+    })
+}
+
+/// A target a failing trial lost: lane `lane` of batch `batch`.
+///
+/// [`TrialCheckpoints::trial`] reports one with every failure, and takes
+/// the last one back as a hint: the omission pass hands the loss of its
+/// last committed failing trial to the next trials, which step that fault
+/// alone before any batch (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Loss {
+    /// The batch that failed the trial.
+    pub batch: usize,
+    /// A lane of that batch the trial lost.
+    pub lane: usize,
 }
 
 thread_local! {
@@ -131,6 +242,16 @@ fn eval_row(
     for (i, &d) in topo.dff_d().iter().enumerate() {
         next[i] = row[d as usize];
     }
+}
+
+/// The hinted fault of a [`PrefixState`], followed through its kept
+/// vectors.
+#[derive(Clone)]
+struct Hinted {
+    loss: Loss,
+    /// The fault's machine state after the kept prefix; `None` once the
+    /// prefix detects the fault.
+    state: Option<Vec<Logic>>,
 }
 
 /// One target batch's share of a [`PrefixState`].
@@ -168,6 +289,8 @@ pub struct PrefixState {
     /// last one is the prefix's current fault-free state.
     states: Vec<Logic>,
     batches: Vec<BatchPrefix>,
+    /// The fault the trials' hint names, stepped by every kept vector.
+    hinted: Option<Hinted>,
     /// Lanes detected by the batches' folded prefixes.
     n_detected: usize,
     total_lanes: usize,
@@ -194,7 +317,7 @@ pub struct TrialCheckpoints<'a> {
     circuit: &'a Circuit,
     targets: &'a FaultList,
     seq: &'a TestSequence,
-    topo: Topology,
+    topo: Arc<Topology>,
     n_nets: usize,
     n_ff: usize,
     len: usize,
@@ -234,7 +357,7 @@ impl<'a> TrialCheckpoints<'a> {
             circuit.inputs().len(),
             "sequence width does not match circuit inputs"
         );
-        let topo = Topology::build(circuit);
+        let topo = Arc::new(Topology::build(circuit));
         let n_nets = circuit.net_count();
         let n_ff = circuit.dffs().len();
         let len = seq.len();
@@ -379,6 +502,7 @@ impl<'a> TrialCheckpoints<'a> {
                     pos: 0,
                 })
                 .collect(),
+            hinted: None,
             n_detected: 0,
             total_lanes: self.total_lanes,
         }
@@ -416,8 +540,10 @@ impl<'a> TrialCheckpoints<'a> {
     }
 
     /// Applies original vector `t` to the prefix (the vector was kept):
-    /// one fault-free step, logged for the batches to fold in later. The
-    /// log first drops the entries every open batch has already folded.
+    /// one fault-free step, logged for the batches to fold in later, and
+    /// one pair step of the hinted fault, which drops it once detected.
+    /// The log first drops the entries every open batch has already
+    /// folded.
     // NOTE: neither `advance` nor the catch-up emits a counter.
     // Speculative-wave workers replay both to rebuild candidate prefixes,
     // so any count here would vary with the thread fan-out and break the
@@ -431,19 +557,95 @@ impl<'a> TrialCheckpoints<'a> {
         let state_at = prefix.states.len();
         prefix.states.resize(state_at + n_ff, Logic::X);
         let (head, next) = prefix.states.split_at_mut(state_at);
+        let good = &head[state_at - n_ff..];
         SCRATCH.with(|cell| {
             let sc = &mut *cell.borrow_mut();
             sc.tmp.resize(self.topo.flat.n_temps, Logic::X);
             eval_row(
                 &self.topo,
                 self.seq.vector(t),
-                &head[state_at - n_ff..],
+                good,
                 &mut prefix.rows[row_at..],
                 next,
                 &mut sc.tmp,
             );
+            if let Some(h) = &mut prefix.hinted {
+                if let Some(bad) = &mut h.state {
+                    let pair = sc.pair(self.circuit, &self.topo);
+                    pair.start(self.circuit, &self.topo, self.fault_of(h.loss), good, bad);
+                    if pair.step(&self.topo, self.seq.vector(t)) {
+                        h.state = None; // the prefix detects the hinted fault
+                    } else {
+                        bad.copy_from_slice(&pair.bad);
+                    }
+                }
+            }
         });
         prefix.len += 1;
+    }
+
+    /// The target fault on lane `loss.lane` of batch `loss.batch`.
+    fn fault_of(&self, loss: Loss) -> Fault {
+        self.targets
+            .fault(self.batches[loss.batch].lanes[loss.lane])
+    }
+
+    /// Points the prefix's hinted fault at `loss`, unless it already
+    /// follows it: the fault's state after the kept prefix is read from the
+    /// lane words of its batch, caught up first, or is `None` when the
+    /// prefix detects it.
+    pub fn follow(&self, prefix: &mut PrefixState, loss: Loss) {
+        if prefix.hinted.as_ref().is_some_and(|h| h.loss == loss) {
+            return;
+        }
+        with_kernel::<LANE_WORDS, _>(|ks| drop(self.resume(prefix, loss.batch, ks)));
+        let bp = &prefix.batches[loss.batch];
+        let state = (!mask::test(&bp.detected, loss.lane))
+            .then(|| bp.lanes.iter().map(|w| w.lane(loss.lane)).collect());
+        prefix.hinted = Some(Hinted { loss, state });
+    }
+
+    /// Steps the hinted fault alone from the kept prefix, whose faulty
+    /// state is `bad`, through the tail after `skip`. Returns `true` when
+    /// that proves the fault lost: the pair is back on the recording at
+    /// an aligned time unit whose recorded future misses the fault, or
+    /// the tail ends with the fault undetected. Returns `false` when the
+    /// pair detects the fault or meets a recorded future that does; the
+    /// batch path then decides the trial.
+    fn probe(
+        &self,
+        prefix: &PrefixState,
+        skip: usize,
+        loss: Loss,
+        bad: &[Logic],
+        pair: &mut PairProbe,
+    ) -> bool {
+        let rec = &self.batches[loss.batch];
+        let good = self.log_state(prefix, prefix.len);
+        pair.start(self.circuit, &self.topo, self.fault_of(loss), good, bad);
+        for u in skip + 1..self.len {
+            if pair.step(&self.topo, self.seq.vector(u)) {
+                return false;
+            }
+            let t1 = u + 1;
+            if t1 % self.stride == 0
+                && pair.good == self.good_state_before(t1)
+                && lane_matches(
+                    &rec.snapshots[t1 / self.stride],
+                    &pair.good,
+                    loss.lane,
+                    &pair.bad,
+                )
+            {
+                if mask::test(&rec.future_conflicts[t1], loss.lane) {
+                    return false;
+                }
+                // The batch path stops its failing batch with this count.
+                self.obs.counter(Metric::CheckpointHits, 1);
+                return true;
+            }
+        }
+        true
     }
 
     /// Folds every logged vector into every batch that still has
@@ -531,22 +733,47 @@ impl<'a> TrialCheckpoints<'a> {
     /// Decides the omission of original vector `skip`: does applying the
     /// original vectors `skip+1..len` after `prefix` detect every target?
     ///
-    /// Batches are checked from batch `first` on, wrapping around; the
-    /// first batch that loses a target ends the trial. Each batch the trial
-    /// reaches first folds the prefix's logged vectors in, in the stepper
-    /// the trial then continues with, and keeps them in `prefix`. Returns
-    /// `Ok(())` when every target stays detected and `Err(b)` naming the
-    /// batch `b` that lost one. The order changes which failing batch is
+    /// When `hint` names a fault of batch `first`, the trial first steps
+    /// that fault alone through the tail (the fault probe, see the module
+    /// docs), which may prove it lost before any batch runs; `prefix`
+    /// then follows the hinted fault through its kept vectors. Otherwise,
+    /// and when the probe cannot decide, batches are checked from batch
+    /// `first` on, wrapping around; the first batch that loses a target
+    /// ends the trial. Each batch the trial reaches first folds the
+    /// prefix's logged vectors in, in the stepper the trial then continues
+    /// with, and keeps them in `prefix`. Returns `Ok(())` when every target
+    /// stays detected and `Err` naming the batch that lost one and a lane
+    /// of it that is lost. The order and the hint change which loss is
     /// named and what the trial costs, never whether it fails.
     ///
     /// Exact — bit-identical to simulating the shortened sequence from
     /// scratch — but usually far cheaper thanks to the early-success and
     /// per-lane convergence exits described in the module docs.
-    pub fn trial(&self, prefix: &mut PrefixState, skip: usize, first: usize) -> Result<(), usize> {
+    pub fn trial(
+        &self,
+        prefix: &mut PrefixState,
+        skip: usize,
+        first: usize,
+        hint: Option<Loss>,
+    ) -> Result<(), Loss> {
         debug_assert!(skip < self.len);
         self.obs.counter(Metric::TrialsAttempted, 1);
         if prefix.all_detected() {
             return Ok(()); // the prefix alone already covers every target
+        }
+        // Only a fault of batch `first` may decide the trial alone: a loss
+        // elsewhere would still leave the batches before it to check.
+        if let Some(loss) = hint.filter(|h| h.batch == first) {
+            self.follow(prefix, loss);
+            if let Some(bad) = prefix.hinted.as_ref().and_then(|h| h.state.as_deref()) {
+                let lost = SCRATCH.with(|cell| {
+                    let sc = &mut *cell.borrow_mut();
+                    self.probe(prefix, skip, loss, bad, sc.pair(self.circuit, &self.topo))
+                });
+                if lost {
+                    return Err(loss);
+                }
+            }
         }
         let tail_start = skip + 1;
         SCRATCH.with(|cell| {
@@ -598,6 +825,7 @@ impl<'a> TrialCheckpoints<'a> {
                     // back on a recorded future that detects them.
                     let mut settled = prefix.batches[b].detected;
                     let mut holds = false;
+                    let mut lost_at_snapshot = None;
                     for u in tail_start..self.len {
                         let (row, next): (&[Logic], &[Logic]) = if u >= g_conv {
                             (self.good_row(u), self.good_state_before(u + 1))
@@ -627,6 +855,7 @@ impl<'a> TrialCheckpoints<'a> {
                             let lost = mask::and_not(&back, &rec.future_conflicts[t1]);
                             if mask::any(&lost) {
                                 self.obs.counter(Metric::CheckpointHits, 1);
+                                lost_at_snapshot = mask::first(&lost);
                                 break;
                             }
                             mask::or_assign(&mut settled, &back);
@@ -638,7 +867,12 @@ impl<'a> TrialCheckpoints<'a> {
                         }
                     }
                     if !holds {
-                        return Err(b);
+                        // Without a loss at a snapshot, the tail ended: the
+                        // lanes still unsettled are the lost ones.
+                        let lane = lost_at_snapshot
+                            .or_else(|| mask::first(&mask::and_not(&rec.full_mask, &settled)))
+                            .expect("a failing batch has a lost lane");
+                        return Err(Loss { batch: b, lane });
                     }
                 }
                 Ok(())
@@ -647,10 +881,29 @@ impl<'a> TrialCheckpoints<'a> {
     }
 }
 
+impl Drop for TrialCheckpoints<'_> {
+    /// Frees the dropping thread's pair evaluator with the recording it was
+    /// built for, so it does not outlive the pass; worker threads free
+    /// theirs when they exit.
+    fn drop(&mut self) {
+        let _ = SCRATCH.try_with(|cell| {
+            if let Ok(mut sc) = cell.try_borrow_mut() {
+                let mine = sc
+                    .pair
+                    .as_ref()
+                    .is_some_and(|p| Weak::as_ptr(&p.topo) == Arc::as_ptr(&self.topo));
+                if mine {
+                    sc.pair = None;
+                }
+            }
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SeqFaultSim;
+    use crate::{SeqFaultSim, SingleFaultSim};
     use limscan_netlist::benchmarks;
     use limscan_scan::ScanCircuit;
     use rand::rngs::StdRng;
@@ -702,17 +955,59 @@ mod tests {
         detected_in_catch_up: usize,
         /// Whether the log ever dropped entries.
         trimmed: bool,
+        /// Trials whose fault probe proved the hinted fault lost.
+        probe_lost: usize,
+        /// Trials whose fault probe left the verdict to the batches.
+        probe_undecided: usize,
+        /// Candidates after which the prefix had detected the hinted fault.
+        hint_detected: usize,
     }
 
-    /// Checks `trial(prefix, c, first)` for every candidate `c`, from the
-    /// first batches `firsts` picks, against a from-scratch run of the kept
-    /// prefix plus the tail. With `greedy`, the prefix drops every
+    /// Runs the fault probe `trial(prefix, skip, loss.batch, Some(loss))`
+    /// starts with, on its own: whether it proves the fault lost, or
+    /// `None` when the prefix detects the fault and nothing is probed.
+    fn probe_alone(
+        ck: &TrialCheckpoints<'_>,
+        prefix: &mut PrefixState,
+        skip: usize,
+        loss: Loss,
+    ) -> Option<bool> {
+        ck.follow(prefix, loss);
+        let bad = prefix.hinted.as_ref()?.state.clone()?;
+        Some(SCRATCH.with(|cell| {
+            let sc = &mut *cell.borrow_mut();
+            ck.probe(prefix, skip, loss, &bad, sc.pair(ck.circuit, &ck.topo))
+        }))
+    }
+
+    /// `loss`'s fault simulated alone over `seq`: its detection time, and
+    /// its faulty state at the end when undetected.
+    fn single(
+        ck: &TrialCheckpoints<'_>,
+        loss: Loss,
+        seq: &TestSequence,
+    ) -> Result<usize, Vec<Logic>> {
+        let mut sim = SingleFaultSim::new(ck.circuit, ck.fault_of(loss));
+        match seq.iter().position(|v| sim.step(v)) {
+            Some(t) => Ok(t),
+            None => Err(sim.bad_state().to_vec()),
+        }
+    }
+
+    /// Checks `trial(prefix, c, first, hint)` for every candidate `c`,
+    /// from the first batches `firsts` picks, against a from-scratch run of
+    /// the kept prefix plus the tail. With `greedy`, the prefix drops every
     /// candidate whose trial held, as an omission pass does; otherwise it
-    /// keeps every vector. A failing trial must name the first batch, in
-    /// order from `first`, that the from-scratch run shows losing a target.
-    /// Every step also checks the log against the batches: it reaches back
-    /// to the batch furthest behind, and no further once a kept vector is
-    /// logged.
+    /// keeps every vector. The hint is set as an omission pass sets it: the
+    /// loss of the candidate's last failing trial. A failing trial must
+    /// name the first batch, in order from `first`, that the from-scratch
+    /// run shows losing a target, and a lane of it that run loses. Where
+    /// the hint names a fault of batch `first`, the fault probe alone must
+    /// prove it lost only if the from-scratch run loses it. After every
+    /// candidate the hinted fault's state must equal its simulation over
+    /// the kept prefix, or be dropped exactly when that detects it. Every
+    /// step also checks the log against the batches: it reaches back to the
+    /// batch furthest behind, and no further once a kept vector is logged.
     fn check_every_trial(ck: &TrialCheckpoints<'_>, greedy: bool, firsts: Firsts) -> Exercised {
         let (circuit, targets, seq) = (ck.circuit, ck.targets, ck.seq);
         let ids: Vec<FaultId> = targets.ids().collect();
@@ -720,6 +1015,7 @@ mod tests {
         let mut seen = Exercised::default();
         let mut keep = vec![true; ck.len()];
         let mut prefix = ck.initial_prefix();
+        let mut hint: Option<Loss> = None;
         let oldest_open = |p: &PrefixState| {
             (0..n)
                 .filter(|&b| ck.is_open(p, b))
@@ -740,17 +1036,40 @@ mod tests {
                     hot..hot + 1
                 }
             };
+            let mut last_loss = None;
             for first in tried {
+                let what = format!("stride {}: candidate {c}, first batch {first}", ck.stride);
+                if let Some(h) = hint.filter(|h| h.batch == first) {
+                    match probe_alone(ck, &mut prefix.clone(), c, h) {
+                        Some(true) => {
+                            seen.probe_lost += 1;
+                            let id = ids[h.batch * LANES + h.lane];
+                            assert!(
+                                !report.is_detected(id),
+                                "{what}: the probe lost a detected fault"
+                            );
+                        }
+                        Some(false) => seen.probe_undecided += 1,
+                        None => {}
+                    }
+                }
                 let before: Vec<(usize, bool)> = (0..n)
                     .map(|b| (prefix.batches[b].pos, ck.is_open(&prefix, b)))
                     .collect();
                 let expected = (first..first + n).map(|i| i % n).find(|&b| losing[b]);
-                assert_eq!(
-                    ck.trial(&mut prefix, c, first),
-                    expected.map_or(Ok(()), Err),
-                    "stride {}: candidate {c}, first batch {first}",
-                    ck.stride
-                );
+                match ck.trial(&mut prefix, c, first, hint) {
+                    Ok(()) => assert_eq!(expected, None, "{what}"),
+                    Err(loss) => {
+                        assert_eq!(Some(loss.batch), expected, "{what}");
+                        let id = ids[loss.batch * LANES + loss.lane];
+                        assert!(
+                            !report.is_detected(id),
+                            "{what}: lane {} is detected",
+                            loss.lane
+                        );
+                        last_loss = Some(loss);
+                    }
+                }
                 for (b, &(pos, open)) in before.iter().enumerate() {
                     if open && prefix.batches[b].pos > pos {
                         seen.max_catch_up = seen.max_catch_up.max(prefix.batches[b].pos - pos);
@@ -767,11 +1086,23 @@ mod tests {
                 seen.held += 1;
             }
             keep[c] = lost || !greedy;
+            hint = last_loss.or(hint);
             if keep[c] {
                 let oldest = oldest_open(&prefix).unwrap_or(prefix.len);
                 ck.advance(&mut prefix, c);
                 assert_eq!(prefix.base, oldest, "candidate {c}: log start");
                 seen.trimmed |= prefix.base > 0;
+            }
+            if let Some(h) = &prefix.hinted {
+                let mut kept = keep.clone();
+                kept[c + 1..].fill(false);
+                let oracle = single(ck, h.loss, &seq.select(&kept));
+                assert_eq!(
+                    h.state.as_ref(),
+                    oracle.as_ref().err(),
+                    "candidate {c}: hinted state"
+                );
+                seen.hint_detected += usize::from(oracle.is_ok());
             }
             assert!(oldest_open(&prefix).is_none_or(|pos| pos >= prefix.base));
             assert_eq!(prefix.rows.len(), (prefix.len - prefix.base) * ck.n_nets);
@@ -790,7 +1121,8 @@ mod tests {
     }
 
     /// Over `2 * LANES` targets: every trial checks three batches, in
-    /// every order.
+    /// every order, and the fault probe both decides trials and leaves
+    /// them to the batches.
     #[test]
     fn multi_batch_trials_equal_from_scratch_runs_at_stride_one() {
         let (circuit, targets, seq) = case("s382", 40, 0, false);
@@ -798,13 +1130,27 @@ mod tests {
         assert_eq!((ck.stride, ck.batches.len()), (1, 3));
         for greedy in [false, true] {
             let seen = check_every_trial(&ck, greedy, Firsts::All);
-            assert!(
-                seen.held > 0 && seen.failed > 0,
-                "greedy {greedy}: {} held, {} failed",
-                seen.held,
-                seen.failed
-            );
+            assert_probed(&seen, &format!("greedy {greedy}"));
         }
+    }
+
+    /// Asserts that a [`check_every_trial`] run saw trials hold and fail,
+    /// probes decide and leave trials, and the prefix detect a hinted
+    /// fault.
+    fn assert_probed(seen: &Exercised, what: &str) {
+        assert!(
+            seen.held > 0 && seen.failed > 0,
+            "{what}: {} held, {} failed",
+            seen.held,
+            seen.failed
+        );
+        assert!(
+            seen.probe_lost > 0 && seen.probe_undecided > 0 && seen.hint_detected > 0,
+            "{what}: probes {} lost, {} undecided; {} hinted faults detected",
+            seen.probe_lost,
+            seen.probe_undecided,
+            seen.hint_detected
+        );
     }
 
     /// Above stride 1, lanes can only settle at snapshot points.
@@ -820,12 +1166,7 @@ mod tests {
         assert_eq!(ck.batches.len(), 3);
         for greedy in [false, true] {
             let seen = check_every_trial(&ck, greedy, Firsts::All);
-            assert!(
-                seen.held > 0 && seen.failed > 0,
-                "greedy {greedy}: {} held, {} failed",
-                seen.held,
-                seen.failed
-            );
+            assert_probed(&seen, &format!("greedy {greedy}"));
         }
     }
 
@@ -843,7 +1184,7 @@ mod tests {
             for greedy in [false, true] {
                 let seen = check_every_trial(&ck, greedy, Firsts::Hot { stretch: 15 });
                 let what = format!("stride {}, greedy {greedy}", ck.stride);
-                assert!(seen.held > 0 && seen.failed > 0, "{what}");
+                assert_probed(&seen, &what);
                 assert!(seen.max_catch_up >= 8, "{what}: {}", seen.max_catch_up);
                 assert!(seen.detected_in_catch_up > 0, "{what}");
                 assert!(seen.trimmed, "{what}");
@@ -902,6 +1243,108 @@ mod tests {
                 .filter(|&id| here.detected_at(id) != fresh.detected_at(id))
                 .count();
             assert_eq!(differ, 0, "unwind {unwind}: detection times differ");
+        }
+    }
+
+    /// What `trial(prefix, skip, first, ..)` must return for a prefix
+    /// that keeps the first `prefix_len` vectors, from scratch: per target,
+    /// whether the trial sequence loses it, and the first batch from
+    /// `first` on that holds a lost target.
+    fn from_scratch(
+        ck: &TrialCheckpoints<'_>,
+        prefix_len: usize,
+        skip: usize,
+        first: usize,
+    ) -> (Vec<bool>, Option<usize>) {
+        let keep: Vec<bool> = (0..ck.len()).map(|t| t < prefix_len || t > skip).collect();
+        let report = SeqFaultSim::run(ck.circuit, ck.targets, &ck.seq.select(&keep));
+        let lost: Vec<bool> = ck.targets.ids().map(|id| !report.is_detected(id)).collect();
+        let n = ck.batches.len();
+        let failing = (first..first + n)
+            .map(|i| i % n)
+            .find(|&b| ck.batches[b].lanes.iter().any(|id| lost[id.index()]));
+        (lost, failing)
+    }
+
+    /// With a snapshot stride beyond the sequence, no tail reaches an
+    /// aligned time unit, so the fault probe decides only by the pair
+    /// detecting the hinted fault in the tail (the batches then decide the
+    /// trial) or by the tail ending without detecting it (the trial fails
+    /// at the hinted batch, with no checkpoint hit). Checked for every
+    /// target the kept prefix leaves undetected, at every trial point of a
+    /// prefix that keeps every vector.
+    #[test]
+    fn probes_detected_in_the_tail_fall_through_and_losses_at_the_end_fail() {
+        let (circuit, targets, seq) = case("s382", 40, 0, false);
+        let mut ck = TrialCheckpoints::record_with_budget(&circuit, &targets, &seq, 1);
+        assert!(ck.stride > ck.len(), "stride {}", ck.stride);
+        let collector = limscan_obs::MetricsCollector::default();
+        ck.obs = ObsHandle::from_sink(Arc::new(collector.clone()));
+        let (mut fell_through, mut lost_at_end) = (0, 0);
+        let mut prefix = ck.initial_prefix();
+        for skip in (0..ck.len()).step_by(3) {
+            for t in prefix.len..skip {
+                ck.advance(&mut prefix, t);
+            }
+            let (lost, expected) = from_scratch(&ck, prefix.len, skip, 0);
+            for (i, &id) in ck.batches[0].lanes.iter().enumerate().step_by(5) {
+                let loss = Loss { batch: 0, lane: i };
+                let mut p = prefix.clone();
+                let hits = collector.counter(Metric::CheckpointHits);
+                let Some(proved) = probe_alone(&ck, &mut p, skip, loss) else {
+                    continue; // the prefix detects it
+                };
+                assert_eq!(proved, lost[id.index()], "skip {skip}, lane {i}");
+                let got = ck.trial(&mut p, skip, 0, Some(loss));
+                assert_eq!(
+                    got.err().map(|l| l.batch),
+                    expected,
+                    "skip {skip}, lane {i}"
+                );
+                if proved {
+                    lost_at_end += 1;
+                    assert_eq!(got, Err(loss), "skip {skip}, lane {i}");
+                    assert_eq!(collector.counter(Metric::CheckpointHits), hits);
+                } else {
+                    fell_through += 1;
+                }
+            }
+        }
+        assert!(
+            fell_through > 0 && lost_at_end > 0,
+            "{fell_through} fell through, {lost_at_end} lost"
+        );
+    }
+
+    /// A hinted fault the kept prefix detects is dropped in the `advance`
+    /// that detects it, and trials with that hint leave every verdict to
+    /// the batches. Checked for the first few targets, each followed from
+    /// the start of the sequence.
+    #[test]
+    fn a_hinted_fault_the_prefix_detects_is_dropped() {
+        let (circuit, targets, seq) = case("s382", 40, 0, false);
+        let ck = TrialCheckpoints::record(&circuit, &targets, &seq);
+        for lane in 0..8 {
+            let loss = Loss { batch: 1, lane };
+            let at = single(&ck, loss, &seq).expect("every target is detected");
+            let mut prefix = ck.initial_prefix();
+            ck.follow(&mut prefix, loss);
+            for t in 0..ck.len() - 1 {
+                let live = prefix
+                    .hinted
+                    .as_ref()
+                    .and_then(|h| h.state.as_ref())
+                    .is_some();
+                assert_eq!(live, t <= at, "lane {lane}, before vector {t}");
+                let (_, expected) = from_scratch(&ck, t, t, loss.batch);
+                let got = ck.trial(&mut prefix.clone(), t, loss.batch, Some(loss));
+                assert_eq!(
+                    got.err().map(|l| l.batch),
+                    expected,
+                    "lane {lane}, trial {t}"
+                );
+                ck.advance(&mut prefix, t);
+            }
         }
     }
 

@@ -63,7 +63,7 @@ mod parallel;
 mod sequence;
 
 pub use cancel::CancelFlag;
-pub use checkpoint::{PrefixState, TrialCheckpoints};
+pub use checkpoint::{Loss, PrefixState, TrialCheckpoints};
 pub use comb::CombFaultSim;
 pub use dictionary::{FaultDictionary, Syndrome};
 pub use engine::{set_sim_threads, sim_threads};

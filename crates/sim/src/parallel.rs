@@ -303,6 +303,13 @@ pub(crate) mod mask {
         r
     }
 
+    /// The lowest set lane, if any.
+    #[inline]
+    pub(crate) fn first<const W: usize>(m: &[u64; W]) -> Option<usize> {
+        let w = m.iter().position(|&w| w != 0)?;
+        Some(w * 64 + m[w].trailing_zeros() as usize)
+    }
+
     /// Calls `f` with the index of every set lane, ascending.
     #[inline]
     pub(crate) fn for_each_set<const W: usize>(m: &[u64; W], mut f: impl FnMut(usize)) {

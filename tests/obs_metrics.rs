@@ -121,8 +121,11 @@ proptest! {
 
 /// The speculative-wave counters vary with the thread count, but not from
 /// run to run at one count: every trial of a wave checks its batches from
-/// the same first batch, chosen on the coordinating thread, so worker
-/// timing cannot change which batches a trial simulates.
+/// the same first batch and probes the same hinted fault, both chosen on
+/// the coordinating thread, so worker timing cannot change which batches
+/// a trial simulates or whether its probe decides it. Checked at one
+/// thread, where every trial takes the hint of the trial before it, and
+/// at four.
 #[test]
 fn trial_counters_repeat_at_a_fixed_thread_count() {
     let sc = ScanCircuit::insert(&benchmarks::load("s382").expect("s382 profile"));
@@ -142,9 +145,9 @@ fn trial_counters_repeat_at_a_fixed_thread_count() {
         Metric::TrialsEarlyExited,
         Metric::CheckpointHits,
     ];
-    let run = || {
+    let run = |threads: usize| {
         let _guard = thread_lock();
-        set_sim_threads(Some(4));
+        set_sim_threads(Some(threads));
         let collector = MetricsCollector::default();
         let obs = ObsHandle::from_sink(Arc::new(collector.clone()));
         omission_pass_resumable(
@@ -160,9 +163,18 @@ fn trial_counters_repeat_at_a_fixed_thread_count() {
         set_sim_threads(None);
         speculative.map(|m| collector.counter(m))
     };
-    let first = run();
-    assert!(first.iter().all(|&n| n > 0), "{speculative:?} = {first:?}");
-    for _ in 0..2 {
-        assert_eq!(run(), first, "{speculative:?} changed between runs");
+    for threads in [1, 4] {
+        let first = run(threads);
+        assert!(
+            first.iter().all(|&n| n > 0),
+            "{threads} threads: {speculative:?} = {first:?}"
+        );
+        for _ in 0..2 {
+            assert_eq!(
+                run(threads),
+                first,
+                "{threads} threads: {speculative:?} changed between runs"
+            );
+        }
     }
 }
