@@ -47,6 +47,15 @@ use crate::scoap::Scoap;
 /// Candidates scored per frame sweep: one lane pair each.
 const PAIRS: usize = 32;
 
+/// Per fault id of `faults`, whether `analysis` proves the fault
+/// untestable per frame.
+fn proven_untestable(analysis: &StaticAnalysis, faults: &FaultList) -> Vec<bool> {
+    faults
+        .iter()
+        .map(|(_, f)| analysis.untestable_reason(f).is_some())
+        .collect()
+}
+
 /// Tuning knobs for [`SequentialAtpg`].
 #[derive(Clone, Debug)]
 pub struct AtpgConfig {
@@ -137,6 +146,9 @@ pub struct SequentialAtpg<'a> {
     scoap: Scoap,
     obs: ObsHandle,
     target_order: Option<Vec<FaultId>>,
+    /// Per fault id, whether static analysis proves the fault untestable
+    /// per frame, from an analysis the caller handed over.
+    proven: Option<Vec<bool>>,
 }
 
 enum EpisodeKind {
@@ -161,7 +173,18 @@ impl<'a> SequentialAtpg<'a> {
             scoap,
             obs: ObsHandle::noop(),
             target_order: None,
+            proven: None,
         }
+    }
+
+    /// Uses `analysis`, run on this generator's scan circuit, to find the
+    /// faults with an untestability proof, instead of running the analysis
+    /// again at the start of every run. The flow driver hands over the
+    /// analysis it pruned the fault list with.
+    #[must_use]
+    pub fn with_analysis(mut self, analysis: &StaticAnalysis) -> Self {
+        self.proven = Some(proven_untestable(analysis, self.faults));
+        self
     }
 
     /// Overrides the order in which faults get their own generation
@@ -271,7 +294,14 @@ impl<'a> SequentialAtpg<'a> {
             Some(order) => order.clone(),
             None => self.faults.ids().collect(),
         };
-        let proven = self.proven_untestable();
+        let own;
+        let proven = match &self.proven {
+            Some(proven) => proven,
+            None => {
+                own = proven_untestable(&StaticAnalysis::run(c), self.faults);
+                &own
+            }
+        };
         for (fi, &fid) in order.iter().enumerate() {
             if fi < start_fault {
                 continue; // processed before the resume point
@@ -346,16 +376,6 @@ impl<'a> SequentialAtpg<'a> {
             scan_loads,
             aborted,
         })
-    }
-
-    /// Per fault id, whether static analysis proves the fault untestable
-    /// per frame. Only the flags outlive this call.
-    fn proven_untestable(&self) -> Vec<bool> {
-        let analysis = StaticAnalysis::run(self.scan.circuit());
-        self.faults
-            .iter()
-            .map(|(_, f)| analysis.untestable_reason(f).is_some())
-            .collect()
     }
 
     /// Initial random phase with early stopping.

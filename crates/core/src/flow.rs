@@ -216,8 +216,19 @@ impl FlowAnalysis {
     }
 }
 
+/// What static analysis hands the sequential generator; empty when the
+/// analysis is off.
+#[derive(Default)]
+pub(crate) struct Targeting {
+    /// The two-tier episode order, when dominance targeting is on.
+    pub(crate) order: Option<Vec<FaultId>>,
+    /// The analysis itself, whose untestability proofs the generator
+    /// reuses instead of running it again.
+    pub(crate) analysis: Option<StaticAnalysis>,
+}
+
 /// Runs static analysis when any knob is on: returns the (possibly pruned)
-/// fault list, the two-tier episode order for the sequential generator, and
+/// fault list, what the sequential generator takes from the analysis, and
 /// the result record. Untestable faults are never part of a returned order
 /// — with pruning off they are simply targeted last.
 pub(crate) fn apply_analysis(
@@ -225,9 +236,9 @@ pub(crate) fn apply_analysis(
     faults: FaultList,
     options: &AnalysisOptions,
     obs: &ObsHandle,
-) -> (FaultList, Option<Vec<FaultId>>, Option<FlowAnalysis>) {
+) -> (FaultList, Targeting, Option<FlowAnalysis>) {
     if !options.enabled() {
-        return (faults, None, None);
+        return (faults, Targeting::default(), None);
     }
     let span = obs.span(SpanKind::Pass, "analyze");
     let span_obs = span.handle();
@@ -258,7 +269,11 @@ pub(crate) fn apply_analysis(
             order.extend_from_slice(&pruned.deferred);
             order
         });
-        (pruned.faults, order, Some(record))
+        let targeting = Targeting {
+            order,
+            analysis: Some(analysis),
+        };
+        (pruned.faults, targeting, Some(record))
     } else {
         let order = options.dominance_targeting.then(|| {
             let mut order = part.targets().to_vec();
@@ -266,7 +281,11 @@ pub(crate) fn apply_analysis(
             order.extend(part.untestable().iter().map(|&(id, _)| id));
             order
         });
-        (faults, order, Some(record))
+        let targeting = Targeting {
+            order,
+            analysis: Some(analysis),
+        };
+        (faults, targeting, Some(record))
     }
 }
 

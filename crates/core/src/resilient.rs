@@ -41,7 +41,7 @@ use limscan_atpg::{AtpgOutcome, AtpgStop, SequentialAtpg};
 use limscan_compact::{
     omission_pass_resumable, restoration_resumable, scan_test_set, Compacted, CompactedSet,
 };
-use limscan_fault::{FaultId, FaultList};
+use limscan_fault::FaultList;
 use limscan_harness::{
     fnv64, AtpgCursor, CancelToken, FlowKind, FlowOutcome, FlowPhase, FlowSnapshot, OmitCursor,
     RunBudget, SnapshotError, SnapshotStore, StopReason,
@@ -53,7 +53,7 @@ use limscan_sim::{SeqFaultSim, TestSequence};
 
 use crate::flow::{
     apply_analysis, build_source, check_scannable, lint_gate, Engine, FlowAnalysis, FlowConfig,
-    FlowError,
+    FlowError, Targeting,
 };
 
 /// Configuration of a resilient run: the flow itself plus its resource
@@ -310,7 +310,7 @@ fn drive(
     // Re-derived on every entry: a resumed run's fault indices and target
     // order are those of the run that wrote the snapshot. The translation
     // flow has no sequential generator, so only the pruning applies there.
-    let (faults, target_order, analysis) =
+    let (faults, targeting, analysis) =
         apply_analysis(scan.circuit(), faults, &config.analysis, obs);
 
     let mut generated = None;
@@ -319,15 +319,7 @@ fn drive(
         Stage::Generate(cursor) => {
             let sequence = match kind {
                 FlowKind::Generation => {
-                    match generate(
-                        &scan,
-                        &faults,
-                        target_order,
-                        config,
-                        ctl,
-                        cursor.as_ref(),
-                        obs,
-                    ) {
+                    match generate(&scan, &faults, targeting, config, ctl, cursor.as_ref(), obs) {
                         Ok(outcome) => generated.insert(outcome).sequence.clone(),
                         Err(stop) => {
                             return Ok(bdy.partial(stop.reason, FlowPhase::Generate(stop.cursor)))
@@ -368,13 +360,14 @@ fn drive(
     }))
 }
 
-/// The generation flow's front end: the configured engine over `faults`,
-/// in `target_order` when static analysis chose one. The deterministic
-/// engine stops at an episode boundary when the token trips.
+/// The generation flow's front end: the configured engine over `faults`.
+/// The deterministic engine takes the episode order and the untestability
+/// proofs of the flow's static analysis when it ran, and stops at an
+/// episode boundary when the token trips.
 fn generate(
     scan: &ScanCircuit,
     faults: &FaultList,
-    target_order: Option<Vec<FaultId>>,
+    targeting: Targeting,
     config: &FlowConfig,
     ctl: &CancelToken,
     cursor: Option<&AtpgCursor>,
@@ -385,8 +378,11 @@ fn generate(
         Engine::Deterministic => {
             let mut atpg =
                 SequentialAtpg::new(scan, faults, config.atpg.clone()).with_obs(span.handle());
-            if let Some(order) = target_order {
+            if let Some(order) = targeting.order {
                 atpg = atpg.with_target_order(order);
+            }
+            if let Some(analysis) = &targeting.analysis {
+                atpg = atpg.with_analysis(analysis);
             }
             atpg.run_budgeted(ctl, cursor)
         }
