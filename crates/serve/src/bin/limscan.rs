@@ -14,7 +14,7 @@
 //!                  [--deadline SECS] [--max-vectors N] [--snapshots DIR]
 //!                  [--trace out.jsonl] [--metrics]
 //! limscan compact <circuit.bench> <program.txt> [-o out.txt] [--passes N]
-//!                 [--deadline SECS] [--max-vectors N]
+//!                 [--chains N] [--deadline SECS] [--max-vectors N]
 //!                 [--trace out.jsonl] [--metrics]
 //! limscan resume <snapshot.snap> [-o program.txt] [--engine det|genetic]
 //!                [--deadline SECS] [--max-vectors N] [--snapshots DIR]
@@ -161,7 +161,7 @@ const USAGE: &str = "usage:
                    [--deadline SECS] [--max-vectors N] [--snapshots DIR]
                    [--trace out.jsonl] [--metrics]
   limscan compact <circuit> <program.txt> [-o out.txt] [--passes N]
-                  [--deadline SECS] [--max-vectors N]
+                  [--chains N] [--deadline SECS] [--max-vectors N]
                   [--trace out.jsonl] [--metrics]
   limscan resume <snapshot.snap> [-o program.txt] [--engine det|genetic]
                  [--deadline SECS] [--max-vectors N] [--snapshots DIR]
@@ -783,16 +783,14 @@ fn cmd_generate(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_compact(args: &[String]) -> Result<ExitCode, String> {
     let circuit = load_circuit(circuit_arg(args, "compact")?)?;
     let prog_arg = args.get(1).ok_or("compact: missing program argument")?;
-    if circuit.dffs().is_empty() {
-        return Err("circuit has no flip-flops; nothing to scan".into());
-    }
+    let chains = chains_from_args(args, &circuit)?;
     let passes: usize = parse_flag(args, "--passes", 2)?;
 
     let text =
         std::fs::read_to_string(prog_arg).map_err(|e| format!("cannot read {prog_arg}: {e}"))?;
     let sequence = parse_program(&text).map_err(|e| e.to_string())?;
 
-    let sc = ScanCircuit::insert(&circuit);
+    let sc = ScanCircuit::insert_chains(&circuit, chains);
     if sequence.width() != sc.circuit().inputs().len() {
         return Err(format!(
             "program width {} does not match {} ({} inputs with scan)",
@@ -808,6 +806,7 @@ fn cmd_compact(args: &[String]) -> Result<ExitCode, String> {
     let rcfg = ResilientConfig {
         flow: FlowConfig {
             omission_passes: passes,
+            scan_chains: chains,
             obs,
             ..FlowConfig::default()
         },

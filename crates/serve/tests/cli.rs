@@ -102,6 +102,61 @@ fn budgeted_compact_stops_with_status_3_and_writes_the_best_program() {
     assert!(len(&stopped) <= len(&prog));
 }
 
+/// A program `generate --chains 2` wrote compacts under `--chains 2` to one
+/// no longer than its input; without `--chains` its width does not match
+/// the single-chain circuit.
+#[test]
+fn compact_takes_the_chain_count_of_the_program() {
+    let prog = temp_path("s27_two_chains.prog");
+    let out = limscan()
+        .args([
+            "generate",
+            "s27",
+            "--chains",
+            "2",
+            "--no-compact",
+            "-o",
+            prog.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let compacted = temp_path("s27_two_chains_compacted.prog");
+    let compact = |extra: &[&str]| {
+        limscan()
+            .args(["compact", "s27", prog.to_str().unwrap()])
+            .args(extra)
+            .args(["-o", compacted.to_str().unwrap()])
+            .output()
+            .expect("spawn")
+    };
+    let out = compact(&["--chains", "2"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let len = |path: &PathBuf| {
+        let text = std::fs::read_to_string(path).expect("program written");
+        limscan::scan::program::parse_program(&text)
+            .expect("program parses")
+            .len()
+    };
+    assert!(len(&compacted) <= len(&prog));
+
+    let out = compact(&[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("program width 7 does not match"),
+        "{stderr}"
+    );
+}
+
 /// Runs `limscan` with `--trace` and `--metrics` and checks both outputs:
 /// the trace file passes the structural normalizer, and the stderr report
 /// names `phase` among its phase lines.

@@ -11,8 +11,9 @@
 #     output is compared instead — small circuits are legitimately fast).
 #
 # Then the compaction path: `generate --no-compact` piped through
-# `compact` must reproduce `generate` byte for byte, and a budgeted
-# `compact` must exit 3 with a program no longer than its input.
+# `compact` must reproduce `generate` byte for byte, with one chain and
+# with two, and a budgeted `compact` must exit 3 with a program no longer
+# than its input.
 #
 # Usage: scripts/resume_smoke.sh [benchmark-name]   (default: s298)
 set -euo pipefail
@@ -81,6 +82,13 @@ echo "== 3: generate --no-compact, then compact =="
 cmp -s "$WORK/full.txt" "$WORK/recompacted.txt" \
     || { echo "FAIL: generate --no-compact | compact differs from generate"; exit 1; }
 echo "ok: compacting the uncompacted program reproduces generate byte for byte"
+"$LIMSCAN" generate "$CIRCUIT" --chains 2 -o "$WORK/full2.txt" >/dev/null
+"$LIMSCAN" generate "$CIRCUIT" --chains 2 --no-compact -o "$WORK/uncompacted2.txt" >/dev/null
+"$LIMSCAN" compact "$CIRCUIT" "$WORK/uncompacted2.txt" --chains 2 \
+    -o "$WORK/recompacted2.txt" >/dev/null
+cmp -s "$WORK/full2.txt" "$WORK/recompacted2.txt" \
+    || { echo "FAIL: generate --chains 2 --no-compact | compact --chains 2 differs from generate --chains 2"; exit 1; }
+echo "ok: the same holds with two chains"
 
 echo "== 4: budgeted compact (exit 3, best program so far) =="
 set +e
