@@ -435,6 +435,10 @@ impl<const W: usize> KernelScratch<W> {
         if self.diff.len() != flat.n_slots {
             self.diff.clear();
             self.diff.resize(flat.n_slots, WideWord::ALL_X);
+        }
+        // Keyed on the net count, not the slot count: circuits with the
+        // same number of value slots can differ in nets.
+        if self.diverged.len() != n {
             self.diverged.clear();
             self.diverged.resize(n, false);
         }

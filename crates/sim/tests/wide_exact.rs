@@ -158,19 +158,33 @@ fn batch_boundary_at_65_faults() {
 }
 
 /// Regression: the per-thread kernel scratch is reused across circuits, and
-/// its component bookkeeping must not leak from a many-component circuit
-/// into a smaller one (stale component ids once indexed out of bounds).
-/// This goes through the checkpoint recorder, whose kernel calls have no
-/// degradation fallback to hide a panic behind.
+/// its bookkeeping must not leak from one circuit into the next: stale
+/// component ids from a many-component circuit once indexed out of bounds
+/// in a smaller one, and scan-inserted s382 has as many value slots as
+/// b10 but fewer nets, which once left the per-net divergence flags too
+/// short. This goes through the checkpoint recorder, whose kernel calls
+/// have no degradation fallback to hide a panic behind.
 #[test]
 fn kernel_scratch_survives_circuit_switches() {
     set_sim_threads(Some(1));
-    for &name in &["s953", "s27", "s641", "b02", "s420", "s27"] {
-        let c = benchmarks::load(name).expect("known benchmark");
-        let faults = FaultList::collapsed(&c).sample(200);
+    let load = |name: &str| benchmarks::load(name).expect("known benchmark");
+    let s382_scan = ScanCircuit::insert(&load("s382")).circuit().clone();
+    let circuits = [
+        load("s953"),
+        load("s27"),
+        load("s641"),
+        load("b02"),
+        load("s420"),
+        load("s27"),
+        s382_scan,
+        load("b10"),
+    ];
+    for c in &circuits {
+        let name = c.name();
+        let faults = FaultList::collapsed(c).sample(200);
         let seq = random_seq(c.inputs().len(), 12, 0xC1C);
-        let ck = TrialCheckpoints::record(&c, &faults, &seq);
-        let mut sim = SeqFaultSim::new(&c, &faults);
+        let ck = TrialCheckpoints::record(c, &faults, &seq);
+        let mut sim = SeqFaultSim::new(c, &faults);
         sim.extend(&seq);
         assert_eq!(
             ck.recorded_detected(),
