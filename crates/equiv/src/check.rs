@@ -378,45 +378,34 @@ pub fn check(
     let threads = opts.threads.unwrap_or_else(sim_threads).max(1);
     let threads = threads.min(n_batches);
 
-    let first = if threads <= 1 {
+    // One worker body: worker `tid` of `stride` takes every `stride`-th
+    // batch from `tid` on and stops at its first mismatch. Each worker
+    // ascends, so the lowest (batch, hit) over all workers is the first
+    // mismatch of the whole run, whatever the thread count.
+    let scan = |tid: usize, stride: usize| {
         let mut l = LockstepSim::new(left);
         let mut r = LockstepSim::new(right);
-        let mut found: Option<(usize, BatchHit)> = None;
-        for batch in 0..n_batches {
+        (tid..n_batches).step_by(stride).find_map(|batch| {
             let active = LANES.min(opts.rounds - batch * LANES);
-            if let Some(hit) = run_batch(
+            run_batch(
                 &mut l, &mut r, &map, &forced, opts, n_directed, batch, active,
-            ) {
-                found = Some((batch, hit));
-                break;
-            }
-        }
-        found
+            )
+            .map(|hit| (batch, hit))
+        })
+    };
+    let first = if threads <= 1 {
+        scan(0, 1)
     } else {
         std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for tid in 0..threads {
-                let map = &map;
-                let forced = &forced;
-                handles.push(scope.spawn(move || {
-                    let mut l = LockstepSim::new(left);
-                    let mut r = LockstepSim::new(right);
-                    let mut found: Option<(usize, BatchHit)> = None;
-                    for batch in (tid..n_batches).step_by(threads) {
-                        let active = LANES.min(opts.rounds - batch * LANES);
-                        if let Some(hit) =
-                            run_batch(&mut l, &mut r, map, forced, opts, n_directed, batch, active)
-                        {
-                            found = Some((batch, hit));
-                            break;
-                        }
-                    }
-                    found
-                }));
-            }
-            handles
+            let workers: Vec<_> = (0..threads)
+                .map(|tid| {
+                    let scan = &scan;
+                    scope.spawn(move || scan(tid, threads))
+                })
+                .collect();
+            workers
                 .into_iter()
-                .filter_map(|h| h.join().expect("equiv worker panicked"))
+                .filter_map(|w| w.join().expect("equiv worker panicked"))
                 .min()
         })
     };

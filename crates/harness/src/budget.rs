@@ -5,8 +5,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use limscan_sim::CancelFlag;
-
 /// Resource limits for one flow run. Every field is a *floor at which the
 /// next budget check stops the run*: work already performed when the limit
 /// is crossed is kept (and checkpointed), never rolled back. `None` means
@@ -103,9 +101,6 @@ impl fmt::Display for StopReason {
 struct Inner {
     budget: RunBudget,
     start: Instant,
-    /// Shared flag handed to simulators so a tripped budget also stops
-    /// in-flight extensions at their next batch boundary.
-    flag: CancelFlag,
     cancelled: AtomicBool,
     vectors: AtomicU64,
     episodes: AtomicU64,
@@ -119,10 +114,11 @@ struct Inner {
 /// Shared, cloneable budget enforcement token.
 ///
 /// Engines charge work (`charge_*`) and consult [`check`](Self::check) at
-/// their natural boundaries; flows call
+/// their episode and wave boundaries; flows call
 /// [`pass_boundary`](Self::pass_boundary) between passes. The first limit
-/// crossed is latched as the token's [`StopReason`] and the embedded
-/// [`CancelFlag`] is raised, so attached simulators stop claiming batches.
+/// crossed is latched as the token's [`StopReason`]. Nothing stops a fault
+/// simulation extension midway: a tripped budget takes effect at the next
+/// boundary check.
 #[derive(Clone)]
 pub struct CancelToken {
     inner: Arc<Inner>,
@@ -149,7 +145,6 @@ impl CancelToken {
             inner: Arc::new(Inner {
                 budget,
                 start: Instant::now(),
-                flag: CancelFlag::new(),
                 cancelled: AtomicBool::new(false),
                 vectors: AtomicU64::new(0),
                 episodes: AtomicU64::new(0),
@@ -167,19 +162,9 @@ impl CancelToken {
     }
 
     /// Request cancellation. The next [`check`](Self::check) returns
-    /// [`StopReason::Cancelled`] and attached simulators stop at their next
-    /// batch boundary.
+    /// [`StopReason::Cancelled`].
     pub fn cancel(&self) {
         self.inner.cancelled.store(true, Ordering::Release);
-        self.inner.flag.cancel();
-    }
-
-    /// The cancellation flag to attach to simulators
-    /// (`SeqFaultSim::set_cancel`) that should stop mid-extension when this
-    /// token trips.
-    #[must_use]
-    pub fn sim_flag(&self) -> &CancelFlag {
-        &self.inner.flag
     }
 
     /// Charge `n` test vectors against the vector budget.
@@ -234,7 +219,6 @@ impl CancelToken {
             Ordering::AcqRel,
             Ordering::Acquire,
         );
-        self.inner.flag.cancel();
     }
 
     /// Budget check, called by engines at episode / wave / pass boundaries.
@@ -322,7 +306,6 @@ mod tests {
         // Latched: a later, different condition does not change the reason.
         ctl.cancel();
         assert_eq!(ctl.check(), Err(StopReason::VectorBudget));
-        assert!(ctl.sim_flag().is_cancelled());
     }
 
     #[test]
@@ -337,12 +320,11 @@ mod tests {
     }
 
     #[test]
-    fn explicit_cancel_raises_the_sim_flag() {
+    fn explicit_cancel_stops_the_next_check() {
         let ctl = CancelToken::unlimited();
-        assert!(!ctl.sim_flag().is_cancelled());
+        assert_eq!(ctl.check(), Ok(()));
         ctl.cancel();
         assert_eq!(ctl.check(), Err(StopReason::Cancelled));
-        assert!(ctl.sim_flag().is_cancelled());
     }
 
     #[test]

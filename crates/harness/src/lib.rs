@@ -6,7 +6,7 @@
 //!
 //! * [`RunBudget`] / [`CancelToken`] — wall-clock deadlines and work quotas
 //!   (vectors, episodes, checkpoints) enforced *cooperatively*: engines
-//!   consult the token at episode / pass / batch boundaries, so a tripped
+//!   consult the token at episode / wave / pass boundaries, so a tripped
 //!   budget never leaves half-applied state behind;
 //! * [`StopReason`] — the typed explanation carried by every early stop;
 //! * [`FlowSnapshot`] / [`SnapshotStore`] — versioned, checksummed,

@@ -388,7 +388,7 @@ impl<'a> TrialCheckpoints<'a> {
         let stride = worst.div_ceil(snapshot_budget).max(1);
 
         let mut batches = Vec::with_capacity(n_batches);
-        with_kernel::<LANE_WORDS, _>(|ks| {
+        with_kernel(|ks| {
             for lanes in ids.chunks(LANES) {
                 let mut stepper = BatchStepper::begin(
                     circuit,
@@ -598,7 +598,7 @@ impl<'a> TrialCheckpoints<'a> {
         if prefix.hinted.as_ref().is_some_and(|h| h.loss == loss) {
             return;
         }
-        with_kernel::<LANE_WORDS, _>(|ks| drop(self.resume(prefix, loss.batch, ks)));
+        with_kernel(|ks| drop(self.resume(prefix, loss.batch, ks)));
         let bp = &prefix.batches[loss.batch];
         let state = (!mask::test(&bp.detected, loss.lane))
             .then(|| bp.lanes.iter().map(|w| w.lane(loss.lane)).collect());
@@ -653,7 +653,7 @@ impl<'a> TrialCheckpoints<'a> {
     /// [`PrefixState::all_detected`] is exact and the prefix is cheap to
     /// clone.
     pub fn catch_up(&self, prefix: &mut PrefixState) {
-        with_kernel::<LANE_WORDS, _>(|ks| {
+        with_kernel(|ks| {
             for b in 0..self.batches.len() {
                 if prefix.batches[b].pos < prefix.len {
                     drop(self.resume(prefix, b, ks));
@@ -814,7 +814,7 @@ impl<'a> TrialCheckpoints<'a> {
 
             // --- Faulty batches, one at a time from `first`; the first
             // lost batch sinks the trial.
-            with_kernel::<LANE_WORDS, _>(|ks| {
+            with_kernel(|ks| {
                 let n = self.batches.len();
                 for b in (first..first + n).map(|i| i % n) {
                     let Some(mut stepper) = self.resume(prefix, b, ks) else {
@@ -1217,7 +1217,7 @@ mod tests {
             .expect("an open batch");
         for unwind in [false, true] {
             let abandon = || {
-                with_kernel::<LANE_WORDS, _>(|ks| {
+                with_kernel(|ks| {
                     let lanes = &prefix.batches[b].lanes;
                     let mut stepper = BatchStepper::begin(
                         &circuit,

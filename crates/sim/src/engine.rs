@@ -13,9 +13,9 @@
 //!   the current extension; the kernel scratch holds the divergence state
 //!   of the batch being simulated plus the wide injection masks. Both are
 //!   reused across calls, so steady-state extension does not allocate.
-//! * [`run_batch`]: the batch kernel, generic over the word width `W`
-//!   (`W` 64-bit planes ⇒ `64 * W` fault lanes per batch; production uses
-//!   [`LANE_WORDS`](crate::parallel::LANE_WORDS)). Faulty values are
+//! * [`run_batch`]: the batch kernel, run at one word width,
+//!   [`LANE_WORDS`] 64-bit planes (`64 * LANE_WORDS` fault lanes per
+//!   batch); each thread keeps one [`KernelScratch`] of it. Faulty values are
 //!   represented as *divergence from the fault-free trace*: a net without
 //!   a set `diverged` flag carries `broadcast(good)` in all lanes and is
 //!   never touched. Each time unit only evaluates gates reachable from
@@ -28,16 +28,15 @@
 //!   leave them), which keeps disjoint cones from paying for each other.
 //!
 //! Batches are independent, so [`SeqFaultSim::extend`] fans them out
-//! across threads (`std::thread::scope`); results are merged afterwards
-//! and are bit-identical to sequential processing regardless of thread
-//! count, because every fault belongs to exactly one batch.
+//! across threads (`std::thread::scope`) when a slice holds enough work;
+//! results are merged afterwards in batch order and are bit-identical to
+//! sequential processing regardless of thread count, because every fault
+//! belongs to exactly one batch.
 //!
 //! [`SeqFaultSim`]: crate::SeqFaultSim
 //! [`SeqFaultSim::extend`]: crate::SeqFaultSim::extend
 
-use std::any::Any;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -47,7 +46,7 @@ use limscan_netlist::{Circuit, Driver, NetId};
 
 use crate::flat::{eval_op_w, FlatNetlist, FlatOp, WideInjection};
 use crate::logic::Logic;
-use crate::parallel::{mask, WideWord};
+use crate::parallel::{mask, WideWord, LANE_WORDS};
 use crate::sequence::TestSequence;
 
 // ---------------------------------------------------------------------------
@@ -473,10 +472,7 @@ impl<const W: usize> KernelScratch<W> {
 
 thread_local! {
     static TRACE: RefCell<TraceBuf> = RefCell::new(TraceBuf::default());
-    /// Kernel scratch arenas keyed by lane-word count `W`: the production
-    /// width and the narrow differential-testing width coexist on one
-    /// thread without clobbering each other.
-    static KERNELS: RefCell<HashMap<usize, Box<dyn Any>>> = RefCell::new(HashMap::new());
+    static KERNEL: RefCell<KernelScratch<LANE_WORDS>> = RefCell::new(KernelScratch::default());
 }
 
 /// Runs `f` with this thread's trace buffer.
@@ -484,18 +480,9 @@ pub(crate) fn with_trace<R>(f: impl FnOnce(&mut TraceBuf) -> R) -> R {
     TRACE.with(|cell| f(&mut cell.borrow_mut()))
 }
 
-/// Runs `f` with this thread's width-`W` kernel scratch. The map lookup is
-/// paid once per extension (or checkpoint pass), not per batch.
-pub(crate) fn with_kernel<const W: usize, R>(f: impl FnOnce(&mut KernelScratch<W>) -> R) -> R {
-    KERNELS.with(|cell| {
-        let mut map = cell.borrow_mut();
-        let entry = map
-            .entry(W)
-            .or_insert_with(|| Box::new(KernelScratch::<W>::default()));
-        f(entry
-            .downcast_mut::<KernelScratch<W>>()
-            .expect("kernel scratch is keyed by its width"))
-    })
+/// Runs `f` with this thread's kernel scratch.
+pub(crate) fn with_kernel<R>(f: impl FnOnce(&mut KernelScratch<LANE_WORDS>) -> R) -> R {
+    KERNEL.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 // ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cancel;
 mod checkpoint;
 mod comb;
 mod dense;
@@ -62,7 +61,6 @@ mod logic;
 mod parallel;
 mod sequence;
 
-pub use cancel::CancelFlag;
 pub use checkpoint::{Loss, PrefixState, TrialCheckpoints};
 pub use comb::CombFaultSim;
 pub use dictionary::{FaultDictionary, Syndrome};

@@ -20,7 +20,7 @@ pub const LANES: usize = 64 * LANE_WORDS;
 /// produced). Operations are plain per-word bitwise expressions over
 /// fixed-size arrays, so the compiler unrolls and vectorises them on stable
 /// Rust. The kernel runs at `W = LANE_WORDS`; the dense oracle and the
-/// narrow differential runs use `W = 1`, 64 lanes in one `u64` per plane.
+/// single-frame evaluator use `W = 1`, 64 lanes in one `u64` per plane.
 ///
 /// Lane masks (detection, injection, full-batch masks) are `[u64; W]`
 /// arrays with the same word/bit addressing.

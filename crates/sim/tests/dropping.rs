@@ -7,6 +7,8 @@
 //! carried faulty states must be bit-identical to `extend_reference` — the
 //! dense oracle, which simulates every fault over the whole extension — at
 //! any thread count, and across interleaved rewinds via `reset_with_state`.
+//! The kernel runs observed, and no batch of it may degrade to the oracle,
+//! or the comparison would not see the kernel at all.
 //!
 //! Thread count is a process-global knob, so every test in this binary
 //! serialises on [`LOCK`] — the harness otherwise runs them on concurrent
@@ -43,12 +45,14 @@ fn extend(sim: &mut SeqFaultSim, seq: &TestSequence, oracle: bool) -> usize {
     }
 }
 
-/// Every observable a scenario must reproduce on both engines.
+/// Every observable a scenario must reproduce on both engines, and the
+/// number of batches replayed on the oracle (0 on the oracle itself).
 struct Outcome {
     first_pass: Vec<Option<u32>>,
     detected: Vec<Option<u32>>,
     good: Vec<Logic>,
     carried: Vec<(usize, Vec<Logic>)>,
+    degraded: u64,
 }
 
 /// One full scenario on one engine: extend over `seq1`, rewind to a
@@ -61,7 +65,9 @@ fn run_scenario(circuit_name: &str, seed: u64, len1: usize, len2: usize, oracle:
     } else {
         faults
     };
+    let (obs, collector) = ObsHandle::noop().with_collector();
     let mut sim = SeqFaultSim::new(&c, &faults);
+    sim.set_obs(&obs);
 
     let seq1 = random_seq(c.inputs().len(), len1, seed);
     extend(&mut sim, &seq1, oracle);
@@ -84,6 +90,7 @@ fn run_scenario(circuit_name: &str, seed: u64, len1: usize, len2: usize, oracle:
             .filter(|&f| sim.detected_at(f).is_none())
             .map(|f| (f.index(), sim.fault_state(f).to_vec()))
             .collect(),
+        degraded: collector.counter(Metric::DegradedBatches),
     }
 }
 
@@ -107,6 +114,7 @@ proptest! {
         let kernel = run_scenario(name, seed, len1, len2, false);
         set_sim_threads(Some(1));
         let oracle = run_scenario(name, seed, len1, len2, true);
+        prop_assert_eq!(kernel.degraded, 0, "kernel batches fell back to the oracle on {}", name);
         prop_assert_eq!(&kernel.first_pass, &oracle.first_pass, "first-pass detections differ on {}", name);
         prop_assert_eq!(&kernel.detected, &oracle.detected, "detection report differs on {}", name);
         prop_assert_eq!(&kernel.good, &oracle.good, "good state differs on {}", name);
@@ -133,6 +141,11 @@ fn barriers_on_the_parallel_path_match_the_oracle() {
     assert!(
         collector.gauge_max(Metric::SimThreads) > 1,
         "workload no longer reaches the parallel path"
+    );
+    assert_eq!(
+        collector.counter(Metric::DegradedBatches),
+        0,
+        "kernel batches fell back to the oracle"
     );
 
     let mut oracle = SeqFaultSim::new(&c, &faults);

@@ -1,16 +1,16 @@
 //! Bit-exactness of the wide (multi-word) kernel.
 //!
-//! Three engines must agree fault-for-fault and time-unit-for-time-unit on
+//! Two engines must agree fault-for-fault and time-unit-for-time-unit on
 //! every embedded benchmark:
 //!
 //! * `extend` — the production wide kernel (`LANE_WORDS` words);
-//! * `extend_narrow` — the same kernel compiled at one word per lane (64
-//!   lanes);
 //! * `extend_reference` — the dense oracle, every gate at every time unit.
 //!
 //! Agreement covers detection verdicts, first-detection times, the
 //! fault-free machine state, and the per-fault faulty machine states that
-//! carry across incremental extensions.
+//! carry across incremental extensions. `extend` replays a batch whose
+//! kernel panicked on the oracle, so every comparison also requires that
+//! no batch degraded: otherwise it would compare the oracle with itself.
 //!
 //! The single-frame evaluator `FrameSim`, which runs the same compiled op
 //! stream over 64 lanes, is checked lane by lane against the scalar
@@ -19,6 +19,7 @@
 
 use limscan_fault::{FaultId, FaultList, FaultSite};
 use limscan_netlist::{benchmarks, Circuit, Driver, GateKind};
+use limscan_obs::{Metric, ObsHandle};
 use limscan_scan::ScanCircuit;
 use limscan_sim::{
     eval_comb, eval_comb_with, next_state, set_sim_threads, FrameSim, Logic, SeqFaultSim,
@@ -62,8 +63,8 @@ fn assert_same_outcome(name: &str, a: &SeqFaultSim, b: &SeqFaultSim, faults: &Fa
     }
 }
 
-/// Runs all three engines over the same two-part extension (the split
-/// exercises incremental state carry-over) and cross-checks them.
+/// Runs the kernel and the oracle over the same two-part extension (the
+/// split exercises incremental state carry-over) and cross-checks them.
 /// `name` is `circuit` or `circuit/variant` — everything before the first
 /// `/` or `@` is the benchmark to load.
 fn cross_check(name: &str, faults: &FaultList, seed: u64, len: usize) {
@@ -76,22 +77,24 @@ fn cross_check(name: &str, faults: &FaultList, seed: u64, len: usize) {
         tail.push(seq.vector(t).to_vec());
     }
 
-    let mut wide = SeqFaultSim::new(&c, faults);
-    wide.extend(&head);
-    wide.extend(&tail);
-
-    let mut narrow = SeqFaultSim::new(&c, faults);
-    narrow.extend_narrow(&head);
-    narrow.extend_narrow(&tail);
+    let (obs, collector) = ObsHandle::noop().with_collector();
+    let mut kernel = SeqFaultSim::new(&c, faults);
+    kernel.set_obs(&obs);
+    kernel.extend(&head);
+    kernel.extend(&tail);
+    assert_eq!(
+        collector.counter(Metric::DegradedBatches),
+        0,
+        "{name}: kernel batches fell back to the oracle"
+    );
 
     let mut reference = SeqFaultSim::new(&c, faults);
     reference.extend_reference(&head);
     reference.extend_reference(&tail);
 
-    assert_same_outcome(&format!("{name} wide-vs-narrow"), &wide, &narrow, faults);
     assert_same_outcome(
-        &format!("{name} wide-vs-reference"),
-        &wide,
+        &format!("{name} kernel-vs-reference"),
+        &kernel,
         &reference,
         faults,
     );
@@ -111,7 +114,7 @@ fn engines_agree_on_every_embedded_benchmark() {
         let c = benchmarks::load(name).expect("known benchmark");
         let faults = FaultList::collapsed(&c);
         // Large circuits get a sampled list to keep the reference oracle
-        // affordable; the wide/narrow pair still sees batch boundaries.
+        // affordable; the kernel still sees batch boundaries.
         let faults = if faults.len() > 1200 {
             faults.sample(1200)
         } else {
@@ -143,9 +146,8 @@ fn engines_agree_with_multiple_threads() {
     }
 }
 
-/// 65 faults: one past the old 64-lane word. The second (nearly empty)
-/// narrow batch and the partial wide word must mask unused lanes
-/// identically.
+/// 65 faults: one past a 64-lane word, so the batch's second word holds a
+/// single lane and the rest of the wide word must stay masked.
 #[test]
 fn batch_boundary_at_65_faults() {
     set_sim_threads(Some(1));

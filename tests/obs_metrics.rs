@@ -161,6 +161,11 @@ fn trial_counters_repeat_at_a_fixed_thread_count() {
         )
         .expect("an unlimited omission pass cannot stop early");
         set_sim_threads(None);
+        // No fail plan is armed: a degraded trial or batch is a kernel
+        // panic that the fallback hid.
+        for m in [Metric::DegradedTrials, Metric::DegradedBatches] {
+            assert_eq!(collector.counter(m), 0, "{threads} threads: {m:?}");
+        }
         speculative.map(|m| collector.counter(m))
     };
     for threads in [1, 4] {
