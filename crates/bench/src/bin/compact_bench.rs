@@ -4,14 +4,26 @@
 //! compact_bench [--smoke] [OUTPUT_PATH]
 //! ```
 //!
-//! For each suite circuit the harness runs one omission pass and one full
+//! For each suite case the harness runs one omission pass and one full
 //! restoration with both engines — the retained full-re-simulation
 //! reference (`omission_reference` / `restoration_reference`) and the
 //! incremental checkpointed engine (`omission` / `restoration`) — over the
-//! same random scan-circuit sequence, and records wall-clock, speedup, and
-//! the final sequence lengths. The compacted sequences are asserted
-//! identical before anything is written: the incremental engine changes
-//! the cost of a trial, never its verdict.
+//! same scan-circuit sequence, and records wall-clock (the median of
+//! `RUNS` runs), speedup, and the final sequence lengths. The compacted
+//! sequences are asserted identical before anything is written: the
+//! incremental engine changes the cost of a trial, never its verdict.
+//!
+//! A case's sequence is random, or the one the translation flow hands to
+//! omission: its `[26]`-style conventional test set translated into a flat
+//! sequence, the unspecified bits filled in, then restored. On random
+//! sequences most omission trials hold; on the translated one most fail,
+//! as in the translation flow, so the suite shows the cost of both kinds
+//! of trial.
+//!
+//! Every case also makes one observed run of each incremental engine,
+//! whose counters fill the `metrics` block. No fail plan is armed, so the
+//! run exits non-zero if any trial or batch of it degraded: that would be
+//! a kernel panic hidden by the fallback to the reference path.
 //!
 //! `--smoke` runs a reduced suite (small circuits, short sequences) meant
 //! for CI: it performs the same equivalence assertions but skips the large
@@ -32,22 +44,40 @@ use limscan::compact::{
 use limscan::obs::Metric;
 use limscan::sim::{sim_threads, LANES};
 use limscan::{
-    benchmarks, CancelToken, FaultList, Logic, MetricsCollector, ObsHandle, ScanCircuit,
-    SeqFaultSim, TestSequence,
+    benchmarks, CancelToken, Circuit, FaultList, FlowConfig, Logic, MetricsCollector, ObsHandle,
+    ScanCircuit, SeqFaultSim, TestSequence, TranslationFlow,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// (circuit, sequence length, fault-sample cap): sized so the quadratic
+/// Where a case's sequence comes from.
+#[derive(Clone, Copy)]
+enum Source {
+    /// This many random fully specified vectors.
+    Random(usize),
+    /// The translation flow's omission input (default `FlowConfig`): the
+    /// translated, X-filled sequence after restoration.
+    Translated,
+}
+
+/// (circuit, sequence, fault-sample cap): sized so the quadratic
 /// reference finishes in tens of seconds while the trial work still
 /// dominates both engines' wall-clock.
-const SUITE: &[(&str, usize, usize)] =
-    &[("s298", 160, 0), ("s1423", 128, 512), ("s5378", 160, 768)];
-const SMOKE_SUITE: &[(&str, usize, usize)] = &[("s27", 60, 0), ("s298", 48, 64), ("s382", 40, 0)];
+const SUITE: &[(&str, Source, usize)] = &[
+    ("s298", Source::Random(160), 0),
+    ("s1423", Source::Random(128), 512),
+    ("s5378", Source::Random(160), 768),
+    ("b09", Source::Translated, 0),
+];
+const SMOKE_SUITE: &[(&str, Source, usize)] = &[
+    ("s27", Source::Random(60), 0),
+    ("s298", Source::Random(48), 64),
+    ("s382", Source::Random(40), 0),
+];
 const OMISSION_PASSES: usize = 1;
-/// Wall-clock is best-of-`RUNS`; compaction is deterministic, so the
+/// Wall-clock is the median of `RUNS`; compaction is deterministic, so the
 /// outputs of repeated runs are asserted identical as a free sanity check.
-const RUNS: usize = 2;
+const RUNS: usize = 5;
 
 fn random_sequence(width: usize, len: usize, seed: u64) -> TestSequence {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -59,18 +89,41 @@ fn random_sequence(width: usize, len: usize, seed: u64) -> TestSequence {
 }
 
 fn timed(f: impl Fn() -> Compacted) -> (f64, Compacted) {
-    let mut best = f64::INFINITY;
+    let mut seconds = Vec::with_capacity(RUNS);
     let mut out = None;
     for _ in 0..RUNS {
         let t = Instant::now();
         let run = f();
-        best = best.min(t.elapsed().as_secs_f64());
+        seconds.push(t.elapsed().as_secs_f64());
         if let Some(prev) = &out {
             assert_eq!(prev, &run, "compaction must be deterministic");
         }
         out = Some(run);
     }
-    (best, out.expect("RUNS >= 1"))
+    seconds.sort_by(f64::total_cmp);
+    (seconds[RUNS / 2], out.expect("RUNS >= 1"))
+}
+
+/// The case's scan circuit, fault list and sequence.
+fn build_case(
+    circuit: &Circuit,
+    source: Source,
+    max_faults: usize,
+) -> (Circuit, FaultList, TestSequence) {
+    match source {
+        Source::Random(vectors) => {
+            let c = ScanCircuit::insert(circuit).circuit().clone();
+            let faults = FaultList::collapsed(&c).sample(max_faults);
+            let seq = random_sequence(c.inputs().len(), vectors, 11);
+            (c, faults, seq)
+        }
+        Source::Translated => {
+            let flow = TranslationFlow::run(circuit, &FlowConfig::default())
+                .expect("suite circuits pass the flow's lint gate");
+            let faults = flow.faults.sample(max_faults);
+            (flow.scan.circuit().clone(), faults, flow.restored.sequence)
+        }
+    }
 }
 
 fn main() {
@@ -88,12 +141,15 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut max_targets = 0;
-    for &(name, vectors, max_faults) in suite {
+    for &(name, source, max_faults) in suite {
         let circuit = benchmarks::load(name).expect("suite circuit");
-        let sc = ScanCircuit::insert(&circuit);
-        let c = sc.circuit();
-        let faults = FaultList::collapsed(c).sample(max_faults);
-        let seq = random_sequence(c.inputs().len(), vectors, 11);
+        let (scan, faults, seq) = build_case(&circuit, source, max_faults);
+        let c = &scan;
+        let vectors = seq.len();
+        let kind = match source {
+            Source::Random(_) => "random",
+            Source::Translated => "translated",
+        };
 
         let (t_oref, o_ref) = timed(|| omission_reference(c, &faults, &seq, OMISSION_PASSES));
         let (t_oinc, o_inc) = timed(|| omission(c, &faults, &seq, OMISSION_PASSES));
@@ -136,9 +192,16 @@ fn main() {
                 && collector.counter(Metric::RestorationEpisodes) > 0,
             "{name}: the observed compaction run recorded no trials or episodes"
         );
+        for m in [Metric::DegradedTrials, Metric::DegradedBatches] {
+            assert_eq!(
+                collector.counter(m),
+                0,
+                "{name}: {m:?} in the observed compaction run, with no fail plan armed"
+            );
+        }
 
         println!(
-            "{name}: faults={} targets={} vectors={vectors} | omission ref={t_oref:.3}s inc={t_oinc:.3}s \
+            "{name} ({kind}): faults={} targets={} vectors={vectors} | omission ref={t_oref:.3}s inc={t_oinc:.3}s \
              ({:.2}x, len {} -> {}) | restoration ref={t_rref:.3}s inc={t_rinc:.3}s \
              ({:.2}x, len {} -> {})",
             faults.len(),
@@ -154,6 +217,7 @@ fn main() {
             concat!(
                 "    {{\n",
                 "      \"circuit\": \"{}\",\n",
+                "      \"sequence\": \"{}\",\n",
                 "      \"gates\": {},\n",
                 "      \"faults\": {},\n",
                 "      \"targets\": {},\n",
@@ -179,6 +243,7 @@ fn main() {
                 "    }}"
             ),
             name,
+            kind,
             c.gate_count(),
             faults.len(),
             o_ref.target_count,
@@ -216,15 +281,21 @@ fn main() {
             "\"incremental (checkpointed trials, early exit)\"],\n",
             "  \"omission_passes\": {},\n",
             "  \"sim_threads\": {},\n",
-            "  \"note\": \"Wall-clock covers the whole engine call, including the ",
-            "target-selection and verification fault simulations shared by both ",
-            "engines; compacted sequences are asserted identical before writing.\",\n",
+            "  \"runs_per_cell\": {},\n",
+            "  \"note\": \"Wall-clock is the median of runs_per_cell runs and covers ",
+            "the whole engine call, including the target-selection and verification ",
+            "fault simulations shared by both engines; compacted sequences are ",
+            "asserted identical before writing. A random sequence is random fully ",
+            "specified vectors; a translated one is the translation flow's omission ",
+            "input, the X-filled translation of its conventional test set after ",
+            "restoration.\",\n",
             "  \"circuits\": [\n{}\n  ]\n",
             "}}\n"
         ),
         if smoke { "smoke" } else { "full" },
         OMISSION_PASSES,
         threads,
+        RUNS,
         rows.join(",\n")
     );
     std::fs::write(&out_path, &json).expect("write benchmark output");

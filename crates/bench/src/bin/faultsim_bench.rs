@@ -13,10 +13,15 @@
 //! engines before anything is written.
 //!
 //! `--smoke` is the CI regression gate: it sweeps **every** embedded
-//! benchmark (fault lists sampled on the largest circuits to bound
-//! runtime), compares the single-thread kernel against the reference, and
-//! exits non-zero if the kernel is slower on any circuit. No file is
-//! written in smoke mode.
+//! benchmark, bare and scan-inserted, on one thread in one process (fault
+//! lists sampled on the largest circuits to bound runtime), compares the
+//! kernel against the reference, and exits non-zero if the kernel is
+//! slower on any bare circuit or if one observed extension per circuit
+//! replays any batch on the oracle (`degraded_batches`): no fail plan is
+//! armed, so a degraded batch is a kernel panic that the fallback hid.
+//! Running every circuit on one thread's kernel scratch also checks that
+//! the scratch survives each switch of circuit. No file is written in
+//! smoke mode.
 //!
 //! Output defaults to `BENCH_faultsim.json` in the current directory.
 
@@ -26,7 +31,8 @@ use std::time::Instant;
 use limscan::obs::Metric;
 use limscan::sim::{set_sim_threads, sim_threads};
 use limscan::{
-    benchmarks, Circuit, FaultList, Logic, MetricsCollector, ObsHandle, SeqFaultSim, TestSequence,
+    benchmarks, Circuit, FaultList, Logic, MetricsCollector, ObsHandle, ScanCircuit, SeqFaultSim,
+    TestSequence,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,8 +68,11 @@ fn best_of(
     (best, detected)
 }
 
-/// CI gate: the kernel must beat the reference on every embedded circuit
-/// at one thread. Fault lists are sampled on the largest circuits and the
+/// CI gate: at one thread, the kernel must beat the reference on every
+/// bare embedded circuit, and no batch may degrade on any circuit, bare or
+/// scan-inserted. The speed gate leaves out the scan variants: the
+/// smallest takes a third of a millisecond, where the two engines'
+/// timings cross. Fault lists are sampled on the largest circuits and the
 /// vector count scales inversely with size so the sweep stays in seconds.
 fn run_smoke() {
     set_sim_threads(Some(1));
@@ -72,48 +81,72 @@ fn run_smoke() {
         .iter()
         .chain(benchmarks::itc99_suite())
     {
-        let circuit = benchmarks::load(name).expect("suite circuit");
-        let gates = circuit.gate_count();
-        let (vectors, max_faults) = if gates > 10_000 {
-            (16, 2_000)
-        } else if gates > 1_000 {
-            (64, 8_000)
-        } else {
-            (256, usize::MAX)
-        };
-        let faults = FaultList::collapsed(&circuit);
-        let faults = if faults.len() > max_faults {
-            faults.sample(max_faults)
-        } else {
-            faults
-        };
-        let seq = random_sequence(circuit.inputs().len(), vectors, 7);
+        let bare = benchmarks::load(name).expect("suite circuit");
+        let scan = ScanCircuit::insert(&bare);
+        for (variant, circuit) in [("bare", &bare), ("scan", scan.circuit())] {
+            let label = format!("{name}/{variant}");
+            let gates = circuit.gate_count();
+            let (vectors, max_faults) = if gates > 10_000 {
+                (16, 2_000)
+            } else if gates > 1_000 {
+                (64, 8_000)
+            } else {
+                (256, usize::MAX)
+            };
+            let faults = FaultList::collapsed(circuit);
+            let faults = if faults.len() > max_faults {
+                faults.sample(max_faults)
+            } else {
+                faults
+            };
+            let seq = random_sequence(circuit.inputs().len(), vectors, 7);
 
-        let (t_ref, d_ref) = best_of(&circuit, &faults, |sim| sim.extend_reference(&seq));
-        let (t_v3, d_v3) = best_of(&circuit, &faults, |sim| sim.extend(&seq));
-        assert_eq!(d_ref, d_v3, "{name}: kernel diverged from reference");
+            // The observed extension is the first on this circuit, so the
+            // kernel scratch meets the switch from the previous circuit
+            // here: a panic in a later run would find it already rebuilt.
+            let collector = MetricsCollector::default();
+            let obs = ObsHandle::from_sink(Arc::new(collector.clone()));
+            let mut sim = SeqFaultSim::new(circuit, &faults);
+            sim.set_obs(&obs);
+            sim.extend(&seq);
+            let degraded = collector.counter(Metric::DegradedBatches);
 
-        let speedup = t_ref / t_v3;
-        let verdict = if speedup >= 1.0 { "ok" } else { "SLOWER" };
-        println!(
-            "{name}: gates={gates} faults={} vectors={vectors} ref={:.4}s v3={:.4}s \
-             ({speedup:.2}x) {verdict}",
-            faults.len(),
-            t_ref,
-            t_v3,
-        );
-        if speedup < 1.0 {
-            failures.push(format!("{name} ({speedup:.2}x)"));
+            let (t_ref, d_ref) = best_of(circuit, &faults, |sim| sim.extend_reference(&seq));
+            let (t_v3, d_v3) = best_of(circuit, &faults, |sim| sim.extend(&seq));
+            assert_eq!(d_ref, d_v3, "{label}: kernel diverged from reference");
+
+            let speedup = t_ref / t_v3;
+            let slower = speedup < 1.0 && variant == "bare";
+            let verdict = if slower {
+                "SLOWER"
+            } else if degraded > 0 {
+                "DEGRADED"
+            } else {
+                "ok"
+            };
+            println!(
+                "{label}: gates={gates} faults={} vectors={vectors} ref={:.4}s v3={:.4}s \
+                 ({speedup:.2}x) degraded_batches={degraded} {verdict}",
+                faults.len(),
+                t_ref,
+                t_v3,
+            );
+            if slower {
+                failures.push(format!("{label} slower than the reference ({speedup:.2}x)"));
+            }
+            if degraded > 0 {
+                failures.push(format!("{label} degraded {degraded} batches"));
+            }
         }
     }
     set_sim_threads(None);
     if failures.is_empty() {
-        println!("smoke: kernel beats the reference on every embedded circuit");
-    } else {
-        eprintln!(
-            "smoke FAILED: kernel slower than reference on {}",
-            failures.join(", ")
+        println!(
+            "smoke: kernel beats the reference on every bare embedded circuit, \
+             and no batch degraded, bare or scan"
         );
+    } else {
+        eprintln!("smoke FAILED: {}", failures.join(", "));
         std::process::exit(1);
     }
 }
