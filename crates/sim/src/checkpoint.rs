@@ -1233,7 +1233,7 @@ mod tests {
                     // recorded fault-free trajectory.
                     stepper.step(ck.good_row(20), ck.good_state_before(21));
                     assert!(!unwind, "abandoned mid-batch");
-                })
+                });
             };
             let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(abandon)).is_err();
             assert_eq!(unwound, unwind);

@@ -328,7 +328,7 @@ impl<'a> SeqFaultSim<'a> {
                     // every write happens in the merge below.
                     let ctx = self.ctx(trace);
                     let next = AtomicUsize::new(0);
-                    let work = || {
+                    let worker = || {
                         with_kernel(|ks| {
                             let mut done = Vec::new();
                             loop {
@@ -342,7 +342,7 @@ impl<'a> SeqFaultSim<'a> {
                         })
                     };
                     let mut done: Vec<_> = std::thread::scope(|scope| {
-                        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+                        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
                         workers
                             .into_iter()
                             .flat_map(|w| w.join().expect("batch worker panicked"))
