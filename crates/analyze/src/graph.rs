@@ -1,9 +1,8 @@
-//! Levelized structural view shared by every analysis pass.
+//! Structural view shared by every analysis pass.
 //!
-//! Builds, in one linear sweep over the circuit:
+//! Builds, in one linear sweep over the circuit (whose own index supplies
+//! each net's logic level, [`Circuit::level`]):
 //!
-//! * a topological **level** per net (primary inputs and flip-flop outputs
-//!   are sources at level 0);
 //! * the **observability** mask (can the net's value reach a primary output
 //!   or a flip-flop D pin through combinational logic);
 //! * the **immediate-dominator tree** of the combinational fanout graph
@@ -31,11 +30,10 @@ pub enum DomLink {
 const SINK: u32 = u32::MAX;
 const UNREACHABLE: u32 = u32::MAX - 1;
 
-/// The shared levelized view. Construction is `O(nets + pins)` except the
+/// The shared structural view. Construction is `O(nets + pins)` except the
 /// dominator intersection walk, which is near-linear in practice.
 #[derive(Clone, Debug)]
 pub struct StructView {
-    level: Vec<u32>,
     observable: Vec<bool>,
     idom: Vec<u32>,
     dom_depth: Vec<u32>,
@@ -48,17 +46,6 @@ impl StructView {
     pub fn build(circuit: &Circuit) -> Self {
         let n = circuit.net_count();
         let observable = circuit.observation_mask();
-
-        // Topological levels: sources at 0, every gate one past its deepest
-        // fanin. comb_order lists exactly the gate-driven nets in a valid
-        // evaluation order.
-        let mut level = vec![0u32; n];
-        for &id in circuit.comb_order() {
-            let Driver::Gate { fanins, .. } = circuit.net(id).driver() else {
-                unreachable!("comb_order holds gate-driven nets");
-            };
-            level[id.index()] = fanins.iter().map(|f| level[f.index()]).max().unwrap_or(0) + 1;
-        }
 
         // Immediate dominators toward the virtual sink. Process nets with
         // all combinational successors already resolved (reverse of
@@ -136,7 +123,7 @@ impl StructView {
             // Nets ordered so consumers resolve first: descending level,
             // with gate nets before their fanins guaranteed by level.
             let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by_key(|&i| std::cmp::Reverse(level[i]));
+            order.sort_by_key(|&i| std::cmp::Reverse(circuit.level(NetId::from_index(i))));
             for i in order {
                 let u = NetId::from_index(i);
                 let fanouts = circuit.fanouts(u);
@@ -155,7 +142,6 @@ impl StructView {
             .count();
 
         StructView {
-            level,
             observable,
             idom,
             dom_depth,
@@ -172,11 +158,6 @@ impl StructView {
                 .fanouts(u)
                 .iter()
                 .any(|p| matches!(circuit.net(p.net).driver(), Driver::Dff { .. }))
-    }
-
-    /// Topological level of `id` (sources are 0).
-    pub fn level(&self, id: NetId) -> u32 {
-        self.level[id.index()]
     }
 
     /// Whether errors on `id` can reach an observation point within the

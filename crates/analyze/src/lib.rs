@@ -1,6 +1,7 @@
 //! Static circuit analysis for the `limscan` workspace.
 //!
-//! Four passes share one levelized graph view ([`StructView`]):
+//! Four passes share one structural view ([`StructView`]), built over the
+//! circuit's own per-net index (levels, positions, output flags):
 //!
 //! 1. **Structural dominators** — immediate-dominator tree of every net
 //!    toward a virtual sink collecting all observation points (primary
@@ -152,7 +153,7 @@ impl StaticAnalysis {
         analysis
     }
 
-    /// The shared levelized graph view.
+    /// The shared structural view.
     pub fn view(&self) -> &StructView {
         &self.view
     }

@@ -129,7 +129,7 @@ fn copy_pair(w: &mut WideWord<1>, from: u32, to: u32) {
     w.v1[0] = (w.v1[0] & !m) | moved(w.v1[0]);
 }
 
-/// Sentinel for "no position" in the per-net tables.
+/// Sentinel for "not assignable" in `assign_pos`.
 const NONE: u32 = u32::MAX;
 
 /// A PODEM engine for one circuit, built once and reused for every fault.
@@ -138,9 +138,10 @@ const NONE: u32 = u32::MAX;
 /// `k` runs the fault-free machine in lane `2k` and the faulty machine in
 /// lane `2k + 1` under one assignment. The search reads the pair holding
 /// its current assignment and keeps the untried value of up to 31 open
-/// decisions implied in the others. The per-net lookup tables and the
-/// search's scratch buffers live here, so a search allocates only its
-/// decision stack and source words. [`podem`] is the one-shot form.
+/// decisions implied in the others. The search's per-net scratch buffers
+/// live here, so a search allocates only its decision stack and source
+/// words; net positions and output flags come from the circuit's own
+/// index. [`podem`] is the one-shot form.
 ///
 /// # Example
 ///
@@ -163,14 +164,6 @@ pub struct PodemEngine<'a> {
     circuit: &'a Circuit,
     scoap: &'a Scoap,
     frame: FrameSim<'a>,
-    /// Per net: position in the input list, [`NONE`] for other nets.
-    pi_pos: Vec<u32>,
-    /// Per net: flip-flop index, [`NONE`] for other nets.
-    ff_pos: Vec<u32>,
-    /// Per net: position in `comb_order`, [`NONE`] for sources.
-    comb_pos: Vec<u32>,
-    /// Per net: whether it is a primary output.
-    is_po: Vec<bool>,
     /// Per net: index into the current search's assignable list.
     assign_pos: Vec<u32>,
     /// Visit stamps shared by the cone walk and the X-path search.
@@ -197,30 +190,10 @@ impl<'a> PodemEngine<'a> {
     pub fn with_frame(scoap: &'a Scoap, frame: FrameSim<'a>) -> Self {
         let circuit = frame.circuit();
         let n = circuit.net_count();
-        let mut pi_pos = vec![NONE; n];
-        for (i, &pi) in circuit.inputs().iter().enumerate() {
-            pi_pos[pi.index()] = i as u32;
-        }
-        let mut ff_pos = vec![NONE; n];
-        for (i, &q) in circuit.dffs().iter().enumerate() {
-            ff_pos[q.index()] = i as u32;
-        }
-        let mut comb_pos = vec![NONE; n];
-        for (i, &g) in circuit.comb_order().iter().enumerate() {
-            comb_pos[g.index()] = i as u32;
-        }
-        let mut is_po = vec![false; n];
-        for &po in circuit.outputs() {
-            is_po[po.index()] = true;
-        }
         PodemEngine {
             circuit,
             scoap,
             frame,
-            pi_pos,
-            ff_pos,
-            comb_pos,
-            is_po,
             assign_pos: vec![NONE; n],
             seen: vec![0; n],
             epoch: 0,
@@ -325,7 +298,7 @@ impl<'a> PodemEngine<'a> {
         match fault.site {
             FaultSite::Stem(n) => self.walk.push(n),
             FaultSite::Branch(pin) => {
-                if self.comb_pos[pin.net.index()] != NONE {
+                if c.comb_position(pin.net).is_some() {
                     self.walk.push(pin.net);
                 }
             }
@@ -343,18 +316,17 @@ impl<'a> PodemEngine<'a> {
                 continue;
             }
             self.seen[n.index()] = epoch;
-            if self.comb_pos[n.index()] != NONE {
+            if c.comb_position(n).is_some() {
                 self.cone.push(n);
             }
             for pin in c.fanouts(n) {
                 let g = pin.net;
-                if self.comb_pos[g.index()] != NONE && self.seen[g.index()] != epoch {
+                if c.comb_position(g).is_some() && self.seen[g.index()] != epoch {
                     self.walk.push(g);
                 }
             }
         }
-        let comb_pos = &self.comb_pos;
-        self.cone.sort_unstable_by_key(|g| comb_pos[g.index()]);
+        self.cone.sort_unstable_by_key(|&g| c.position(g));
     }
 }
 
@@ -411,9 +383,9 @@ impl Search<'_, '_> {
     fn imply(&mut self) {
         let e = &mut *self.eng;
         for (&net, &w) in self.assignable.iter().zip(&self.words) {
-            match e.pi_pos[net.index()] {
-                NONE => e.frame.set_state(e.ff_pos[net.index()] as usize, w),
-                pos => e.frame.set_input(pos as usize, w),
+            match e.circuit.dff_position(net) {
+                Some(ff) => e.frame.set_state(ff, w),
+                None => e.frame.set_input(e.circuit.position(net), w),
             }
         }
         e.frame.eval();
@@ -533,12 +505,12 @@ impl Search<'_, '_> {
                 continue;
             }
             self.eng.seen[n.index()] = epoch;
-            if self.eng.is_po[n.index()] {
+            if self.eng.circuit.is_output(n) {
                 return true;
             }
             for pin in self.eng.circuit.fanouts(n) {
                 let consumer = pin.net;
-                if self.eng.ff_pos[consumer.index()] != NONE {
+                if self.eng.circuit.dff_position(consumer).is_some() {
                     if self.opts.observe_ppos {
                         return true; // reached a next-state line
                     }
@@ -749,10 +721,11 @@ impl Search<'_, '_> {
             Some(s) => s.clone(),
             None => vec![Logic::X; self.eng.circuit.dffs().len()],
         };
+        let c = self.eng.circuit;
         for (&net, &v) in self.assignable.iter().zip(&self.assigned) {
-            match self.eng.pi_pos[net.index()] {
-                NONE => state[self.eng.ff_pos[net.index()] as usize] = v,
-                pos => inputs[pos as usize] = v,
+            match c.dff_position(net) {
+                Some(ff) => state[ff] = v,
+                None => inputs[c.position(net)] = v,
             }
         }
         PodemTest {

@@ -146,7 +146,9 @@ impl CircuitBuilder {
     }
 
     /// Resolves all names, validates the netlist, levelizes the
-    /// combinational logic and produces the immutable [`Circuit`].
+    /// combinational logic, indexes every net (its position among the nets
+    /// of its kind, output flag and level) and produces the immutable
+    /// [`Circuit`].
     ///
     /// # Errors
     ///
@@ -202,7 +204,18 @@ impl CircuitBuilder {
         }
 
         let fanouts = compute_fanouts(&nets);
-        let comb_order = crate::level::topo_order(&nets)?;
+        let (comb_order, level) = crate::level::levelize(&nets)?;
+        let depth = level.iter().copied().max().unwrap_or(0);
+        let mut position = vec![0u32; nets.len()];
+        for list in [&inputs, &comb_order, &dffs] {
+            for (i, id) in list.iter().enumerate() {
+                position[id.index()] = i as u32;
+            }
+        }
+        let mut output_flag = vec![false; nets.len()];
+        for o in &outputs {
+            output_flag[o.index()] = true;
+        }
 
         Ok(Circuit {
             name: self.name,
@@ -213,6 +226,10 @@ impl CircuitBuilder {
             fanouts,
             comb_order,
             spans,
+            position,
+            output_flag,
+            level,
+            depth,
         })
     }
 }

@@ -249,13 +249,23 @@ pub struct Circuit {
     /// Source span of each net's declaration ([`Span::NONE`] when built
     /// programmatically). Diagnostic metadata, excluded from equality.
     pub(crate) spans: Vec<Span>,
+    /// Per net: its index in `inputs`, `comb_order` or `dffs`, whichever
+    /// lists it.
+    pub(crate) position: Vec<u32>,
+    /// Per net: whether it is a primary output.
+    pub(crate) output_flag: Vec<bool>,
+    /// Per net: logic level (see [`Circuit::level`]).
+    pub(crate) level: Vec<u32>,
+    /// The maximum of `level`.
+    pub(crate) depth: u32,
 }
 
 /// Equality compares the logical circuit — name, nets, port lists — and
 /// deliberately ignores source [`Span`]s, so a circuit written out with
 /// [`bench_format::write`](crate::bench_format::write) and re-parsed (with
-/// different line numbers) still compares equal. `fanouts` and `comb_order`
-/// are functions of `nets` and need no separate comparison.
+/// different line numbers) still compares equal. `fanouts`, `comb_order`
+/// and the per-net index (positions, output flags, levels) are functions
+/// of the nets and port lists and need no separate comparison.
 impl PartialEq for Circuit {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
@@ -332,12 +342,38 @@ impl Circuit {
 
     /// Whether the given net is observed as a primary output.
     pub fn is_output(&self, id: NetId) -> bool {
-        self.outputs.contains(&id)
+        self.output_flag[id.index()]
+    }
+
+    /// The net's index in the list of its kind: [`inputs`](Self::inputs)
+    /// for a primary input, [`comb_order`](Self::comb_order) for a gate and
+    /// [`dffs`](Self::dffs) for a flip-flop output.
+    pub fn position(&self, id: NetId) -> usize {
+        self.position[id.index()] as usize
+    }
+
+    /// The position of `id` in [`comb_order`](Self::comb_order), if it is
+    /// gate-driven.
+    pub fn comb_position(&self, id: NetId) -> Option<usize> {
+        matches!(self.nets[id.index()].driver, Driver::Gate { .. }).then(|| self.position(id))
     }
 
     /// The position of `id` in the flip-flop list, if it is a DFF output.
     pub fn dff_position(&self, id: NetId) -> Option<usize> {
-        self.dffs.iter().position(|&q| q == id)
+        matches!(self.nets[id.index()].driver, Driver::Dff { .. }).then(|| self.position(id))
+    }
+
+    /// The net's logic level: 0 for primary inputs and flip-flop outputs,
+    /// and for a gate one more than its deepest fanin (a constant gate,
+    /// with no fanins, is at level 1). Levels are distance estimates for
+    /// testability analysis and ATPG guidance.
+    pub fn level(&self, id: NetId) -> u32 {
+        self.level[id.index()]
+    }
+
+    /// The combinational depth: the highest gate level, 0 without gates.
+    pub fn depth(&self) -> u32 {
+        self.depth
     }
 
     /// Total number of combinational gates.
@@ -449,18 +485,11 @@ mod tests {
     #[test]
     fn comb_order_respects_dependencies() {
         let c = tiny();
-        let pos: std::collections::HashMap<NetId, usize> = c
-            .comb_order()
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i))
-            .collect();
-        for &n in c.comb_order() {
-            if let Driver::Gate { fanins, .. } = c.net(n).driver() {
-                for f in fanins {
-                    if let Some(&fp) = pos.get(f) {
-                        assert!(fp < pos[&n], "fanin {f} after gate {n}");
-                    }
+        for (pos, &n) in c.comb_order().iter().enumerate() {
+            assert_eq!(c.comb_position(n), Some(pos));
+            for &f in c.net(n).driver().fanins() {
+                if let Some(fp) = c.comb_position(f) {
+                    assert!(fp < pos, "fanin {f} after gate {n}");
                 }
             }
         }

@@ -1,12 +1,14 @@
-//! Levelization: topological ordering of the combinational logic.
+//! Levelization: topological ordering and logic levels of the
+//! combinational logic.
 
-use crate::circuit::{Circuit, Driver, Net, NetId};
+use crate::circuit::{Driver, Net, NetId};
 use crate::error::NetlistError;
 
-/// Computes a topological order of all gate-driven nets, treating primary
-/// inputs and flip-flop outputs as level-0 sources. Detects combinational
-/// cycles.
-pub(crate) fn topo_order(nets: &[Net]) -> Result<Vec<NetId>, NetlistError> {
+/// Levelizes the combinational logic: a topological order of all
+/// gate-driven nets, and every net's logic level. Primary inputs and
+/// flip-flop outputs are level-0 sources, and a gate is one more than its
+/// deepest fanin. Detects combinational cycles.
+pub(crate) fn levelize(nets: &[Net]) -> Result<(Vec<NetId>, Vec<u32>), NetlistError> {
     // Kahn's algorithm over gate-driven nets only.
     let n = nets.len();
     let mut indegree = vec![0u32; n];
@@ -34,9 +36,13 @@ pub(crate) fn topo_order(nets: &[Net]) -> Result<Vec<NetId>, NetlistError> {
         }
     }
 
+    // A gate starts one past its source fanins and is raised by each gate
+    // fanin as that fanin is ordered, which is before the gate itself.
+    let mut level: Vec<u32> = is_gate.iter().map(|&g| u32::from(g)).collect();
     while let Some(i) = queue.pop() {
         order.push(NetId::from_index(i));
         for &c in &consumers[i] {
+            level[c] = level[c].max(level[i] + 1);
             indegree[c] -= 1;
             if indegree[c] == 0 {
                 queue.push(c);
@@ -54,65 +60,11 @@ pub(crate) fn topo_order(nets: &[Net]) -> Result<Vec<NetId>, NetlistError> {
             name: nets[culprit].name.clone(),
         });
     }
-    Ok(order)
-}
-
-/// Per-net logic levels of a circuit.
-///
-/// Level 0 is assigned to primary inputs, constants and flip-flop outputs;
-/// a gate's level is one more than the maximum level of its fanins. Levels
-/// are used as distance estimates by testability analysis and ATPG guidance.
-///
-/// # Example
-///
-/// ```
-/// use limscan_netlist::{benchmarks, Levels};
-///
-/// let c = benchmarks::s27();
-/// let levels = Levels::compute(&c);
-/// assert!(levels.depth() >= 3);
-/// ```
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Levels {
-    level: Vec<u32>,
-    depth: u32,
-}
-
-impl Levels {
-    /// Computes logic levels for every net in `circuit`.
-    pub fn compute(circuit: &Circuit) -> Self {
-        let mut level = vec![0u32; circuit.net_count()];
-        let mut depth = 0;
-        for &id in circuit.comb_order() {
-            let l = circuit
-                .net(id)
-                .driver()
-                .fanins()
-                .iter()
-                .map(|f| level[f.index()])
-                .max()
-                .unwrap_or(0)
-                + 1;
-            level[id.index()] = l;
-            depth = depth.max(l);
-        }
-        Levels { level, depth }
-    }
-
-    /// The level of a net (0 for sources).
-    pub fn level(&self, id: NetId) -> u32 {
-        self.level[id.index()]
-    }
-
-    /// The maximum gate level in the circuit (combinational depth).
-    pub fn depth(&self) -> u32 {
-        self.depth
-    }
+    Ok((order, level))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{CircuitBuilder, GateKind};
 
     #[test]
@@ -125,15 +77,12 @@ mod tests {
         b.gate("g3", GateKind::Or, &["g2", "a"]).unwrap();
         b.output("g3");
         let c = b.build().unwrap();
-        let lv = Levels::compute(&c);
-        let g1 = c.find_net("g1").unwrap();
-        let g2 = c.find_net("g2").unwrap();
-        let g3 = c.find_net("g3").unwrap();
-        assert_eq!(lv.level(c.find_net("a").unwrap()), 0);
-        assert_eq!(lv.level(g1), 1);
-        assert_eq!(lv.level(g2), 2);
-        assert_eq!(lv.level(g3), 3);
-        assert_eq!(lv.depth(), 3);
+        let level = |name: &str| c.level(c.find_net(name).unwrap());
+        assert_eq!(level("a"), 0);
+        assert_eq!(level("g1"), 1);
+        assert_eq!(level("g2"), 2);
+        assert_eq!(level("g3"), 3);
+        assert_eq!(c.depth(), 3);
     }
 
     #[test]
@@ -144,8 +93,8 @@ mod tests {
         b.gate("d", GateKind::Nand, &["q", "x"]).unwrap();
         b.output("d");
         let c = b.build().unwrap();
-        let lv = Levels::compute(&c);
-        assert_eq!(lv.level(c.find_net("q").unwrap()), 0);
-        assert_eq!(lv.level(c.find_net("d").unwrap()), 1);
+        assert_eq!(c.level(c.find_net("q").unwrap()), 0);
+        assert_eq!(c.level(c.find_net("d").unwrap()), 1);
+        assert_eq!(c.depth(), 1);
     }
 }

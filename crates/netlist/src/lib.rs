@@ -40,7 +40,6 @@ mod stats;
 pub use builder::CircuitBuilder;
 pub use circuit::{Circuit, Driver, GateKind, Net, NetId, Pin, Span};
 pub use error::NetlistError;
-pub use level::Levels;
 pub use limits::{LimitViolation, ParseLimit, ParseLimits};
 pub use raw::RawNetlist;
 pub use stats::CircuitStats;

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use crate::circuit::{Circuit, Driver, GateKind};
-use crate::level::Levels;
 
 /// Structural statistics of a [`Circuit`].
 ///
@@ -69,7 +68,7 @@ impl CircuitStats {
             outputs: circuit.outputs().len(),
             flip_flops: circuit.dffs().len(),
             gates: circuit.gate_count(),
-            depth: Levels::compute(circuit).depth(),
+            depth: circuit.depth(),
             by_kind,
         }
     }

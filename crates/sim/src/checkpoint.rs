@@ -82,7 +82,8 @@ use limscan_fault::{Fault, FaultId, FaultList};
 use limscan_netlist::Circuit;
 use limscan_obs::{Metric, ObsHandle};
 
-use crate::engine::{with_kernel, BatchStepper, KernelScratch, Topology};
+use crate::engine::{with_kernel, BatchStepper, KernelScratch};
+use crate::flat::Topology;
 use crate::frame::Frame;
 use crate::logic::Logic;
 use crate::parallel::{mask, WideWord, LANES, LANE_WORDS};
@@ -220,30 +221,6 @@ thread_local! {
     static SCRATCH: RefCell<TrialScratch> = RefCell::new(TrialScratch::default());
 }
 
-/// Fault-free scalar step: loads `vector` and `state` into `row`, evaluates
-/// the flat op stream and extracts the next state. Identical to the trace
-/// pass of [`SeqFaultSim::extend`](crate::SeqFaultSim::extend).
-fn eval_row(
-    topo: &Topology,
-    vector: &[Logic],
-    state: &[Logic],
-    row: &mut [Logic],
-    next: &mut [Logic],
-    tmp: &mut [Logic],
-) {
-    row.fill(Logic::X);
-    for (&pi, &v) in topo.pi().iter().zip(vector) {
-        row[pi as usize] = v;
-    }
-    for (&q, &v) in topo.dff_q().iter().zip(state) {
-        row[q as usize] = v;
-    }
-    topo.flat.eval_scalar(row, tmp);
-    for (i, &d) in topo.dff_d().iter().enumerate() {
-        next[i] = row[d as usize];
-    }
-}
-
 /// The hinted fault of a [`PrefixState`], followed through its kept
 /// vectors.
 #[derive(Clone)]
@@ -365,11 +342,10 @@ impl<'a> TrialCheckpoints<'a> {
         // Fault-free trace (scalar pass), kept for the trials.
         let mut good_rows = vec![Logic::X; len * n_nets];
         let mut good_states = vec![Logic::X; (len + 1) * n_ff];
-        let mut tmp = vec![Logic::X; topo.flat.n_temps];
+        let mut tmp = vec![Logic::X; topo.n_temps];
         for (t, v) in seq.iter().enumerate() {
             let (head, rest) = good_states.split_at_mut((t + 1) * n_ff);
-            eval_row(
-                &topo,
+            topo.step_scalar(
                 v,
                 &head[t * n_ff..],
                 &mut good_rows[t * n_nets..(t + 1) * n_nets],
@@ -560,9 +536,8 @@ impl<'a> TrialCheckpoints<'a> {
         let good = &head[state_at - n_ff..];
         SCRATCH.with(|cell| {
             let sc = &mut *cell.borrow_mut();
-            sc.tmp.resize(self.topo.flat.n_temps, Logic::X);
-            eval_row(
-                &self.topo,
+            sc.tmp.resize(self.topo.n_temps, Logic::X);
+            self.topo.step_scalar(
                 self.seq.vector(t),
                 good,
                 &mut prefix.rows[row_at..],
@@ -786,7 +761,7 @@ impl<'a> TrialCheckpoints<'a> {
             if sc.states.len() < (tail + 1) * n_ff {
                 sc.states.resize((tail + 1) * n_ff, Logic::X);
             }
-            sc.tmp.resize(self.topo.flat.n_temps, Logic::X);
+            sc.tmp.resize(self.topo.n_temps, Logic::X);
 
             // --- Fault-free tail, stopped as soon as it re-joins the
             // recorded trajectory: from `g_conv` on, rows and states come
@@ -801,8 +776,7 @@ impl<'a> TrialCheckpoints<'a> {
                     break;
                 }
                 let (head, rest) = sc.states.split_at_mut((fresh + 1) * n_ff);
-                eval_row(
-                    &self.topo,
+                self.topo.step_scalar(
                     self.seq.vector(u),
                     &head[fresh * n_ff..],
                     &mut sc.rows[fresh * n_nets..(fresh + 1) * n_nets],

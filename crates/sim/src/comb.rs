@@ -12,10 +12,10 @@
 use std::sync::Arc;
 
 use limscan_fault::{FaultId, FaultList};
-use limscan_netlist::{Circuit, Driver};
+use limscan_netlist::Circuit;
 
-use crate::engine::{sweep_ops, Topology};
-use crate::flat::WideInjection;
+use crate::engine::sweep_ops;
+use crate::flat::{Topology, WideInjection};
 use crate::frame::FrameSim;
 use crate::logic::Logic;
 use crate::parallel::{mask, WideWord, LANES, LANE_WORDS};
@@ -47,6 +47,8 @@ pub struct CombFaultSim<'a> {
     vals: Vec<WideWord<LANE_WORDS>>,
     /// Fault-free frame values, by net.
     good: Vec<Logic>,
+    /// Fault-free next state, by flip-flop.
+    good_next: Vec<Logic>,
     /// Intra-gate scratch for the scalar flat evaluation.
     tmp: Vec<Logic>,
 }
@@ -57,21 +59,19 @@ impl<'a> CombFaultSim<'a> {
         let topo = Arc::new(Topology::build(circuit));
         let inj = WideInjection::new(
             circuit.net_count(),
-            topo.flat.ops.len(),
+            topo.ops.len(),
             circuit.comb_order().len(),
             circuit.dffs().len(),
         );
-        let vals = vec![WideWord::ALL_X; topo.flat.n_slots];
-        let good = vec![Logic::X; circuit.net_count()];
-        let tmp = vec![Logic::X; topo.flat.n_temps];
         CombFaultSim {
             circuit,
             faults,
-            topo,
             inj,
-            vals,
-            good,
-            tmp,
+            vals: vec![WideWord::ALL_X; topo.n_slots],
+            good: vec![Logic::X; circuit.net_count()],
+            good_next: vec![Logic::X; circuit.dffs().len()],
+            tmp: vec![Logic::X; topo.n_temps],
+            topo,
         }
     }
 
@@ -107,27 +107,14 @@ impl<'a> CombFaultSim<'a> {
         let circuit = self.circuit;
         assert_eq!(vector.len(), circuit.inputs().len(), "vector width");
         assert_eq!(state.len(), circuit.dffs().len(), "state width");
-        let flat = &self.topo.flat;
-
-        // Fault-free frame via the scalar flat evaluation.
-        self.good.fill(Logic::X);
-        for (&pi, &v) in circuit.inputs().iter().zip(vector) {
-            self.good[pi.index()] = v;
-        }
-        for (&q, &v) in circuit.dffs().iter().zip(state) {
-            self.good[q.index()] = v;
-        }
-        flat.eval_scalar(&mut self.good, &mut self.tmp);
-        let g_next: Vec<Logic> = circuit
-            .dffs()
-            .iter()
-            .map(|&q| {
-                let Driver::Dff { d } = circuit.net(q).driver() else {
-                    unreachable!("dffs() contains only flip-flops");
-                };
-                self.good[d.index()]
-            })
-            .collect();
+        let topo = &self.topo;
+        topo.step_scalar(
+            vector,
+            state,
+            &mut self.good,
+            &mut self.good_next,
+            &mut self.tmp,
+        );
 
         let mut out = vec![false; ids.len()];
         for (chunk_start, batch) in ids.chunks(LANES).enumerate().map(|(k, b)| (k * LANES, b)) {
@@ -137,37 +124,35 @@ impl<'a> CombFaultSim<'a> {
             // Sources with stem forces, then one dense sweep of the whole
             // op stream (a frame touches every component, so there is no
             // point restricting it).
-            for (&pi, &v) in circuit.inputs().iter().zip(vector) {
-                self.vals[pi.index()] = self.inj.force_src(pi.index(), WideWord::broadcast(v));
+            for (&pi, &v) in topo.pi.iter().zip(vector) {
+                let pi = pi as usize;
+                self.vals[pi] = self.inj.force_src(pi, WideWord::broadcast(v));
             }
-            for (&q, &v) in circuit.dffs().iter().zip(state) {
-                self.vals[q.index()] = self.inj.force_src(q.index(), WideWord::broadcast(v));
+            for (&q, &v) in topo.dff_q.iter().zip(state) {
+                let q = q as usize;
+                self.vals[q] = self.inj.force_src(q, WideWord::broadcast(v));
             }
             sweep_ops(
-                &flat.ops,
+                &topo.ops,
                 &mut self.vals,
                 &self.inj,
                 0,
-                flat.ops.len() as u32,
+                topo.ops.len() as u32,
             );
 
             let mut detected = [0u64; LANE_WORDS];
-            for &o in circuit.outputs() {
-                let good = self.good[o.index()];
+            for &o in &topo.po {
+                let good = self.good[o as usize];
                 if good.is_binary() {
-                    let c = self.vals[o.index()].conflict_mask(&WideWord::broadcast(good));
+                    let c = self.vals[o as usize].conflict_mask(&WideWord::broadcast(good));
                     mask::or_assign(&mut detected, &c);
                 }
             }
-            for (j, &q) in circuit.dffs().iter().enumerate() {
-                let good = g_next[j];
+            for (j, (&d, &good)) in topo.dff_d.iter().zip(&self.good_next).enumerate() {
                 if !good.is_binary() {
                     continue;
                 }
-                let Driver::Dff { d } = circuit.net(q).driver() else {
-                    unreachable!("dffs() contains only flip-flops");
-                };
-                let w = self.inj.force_ff(j, self.vals[d.index()]);
+                let w = self.inj.force_ff(j, self.vals[d as usize]);
                 mask::or_assign(&mut detected, &w.conflict_mask(&WideWord::broadcast(good)));
             }
             let detected = mask::and(&detected, &full_mask);

@@ -3,11 +3,11 @@
 //! The simulator's hot loop — [`SeqFaultSim::extend`] — is built from
 //! these pieces:
 //!
-//! * [`Topology`]: per-circuit fanout indexes plus the compiled
-//!   [`FlatNetlist`](crate::flat::FlatNetlist) — the levelized netlist
-//!   lowered into one topologically-contiguous array of two-input ops
-//!   (opcode + operand indexes in a single cache-friendly buffer).
-//!   Computed once per simulator and shared by every extension via `Arc`.
+//! * [`Topology`]: the compiled circuit — the levelized netlist lowered
+//!   into one topologically-contiguous array of two-input ops (opcode +
+//!   operand indexes in a single cache-friendly buffer) plus per-circuit
+//!   fanout indexes. Computed once per simulator and shared by every
+//!   extension via `Arc`.
 //! * [`TraceBuf`] / [`KernelScratch`]: thread-local scratch arenas. The
 //!   trace holds the fault-free value of every net at every time unit of
 //!   the current extension; the kernel scratch holds the divergence state
@@ -42,9 +42,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use limscan_fault::{FaultId, FaultList, FaultSite};
-use limscan_netlist::{Circuit, Driver, NetId};
+use limscan_netlist::{Circuit, Driver};
 
-use crate::flat::{eval_op_w, FlatNetlist, FlatOp, WideInjection};
+use crate::flat::{eval_op_w, FlatOp, Topology, WideInjection};
 use crate::logic::Logic;
 use crate::parallel::{mask, WideWord, LANE_WORDS};
 use crate::sequence::TestSequence;
@@ -100,196 +100,12 @@ pub(crate) const PARALLEL_THRESHOLD: usize = 250_000;
 const DENSE_FACTOR: usize = 3;
 
 // ---------------------------------------------------------------------------
-// Topology
-// ---------------------------------------------------------------------------
-
-/// Per-circuit fanout indexes and the compiled flat netlist used by the
-/// batch kernel.
-///
-/// Built once in [`SeqFaultSim::new`](crate::SeqFaultSim::new) and shared by
-/// all clones of the simulator through an `Arc`.
-#[derive(Debug)]
-pub(crate) struct Topology {
-    /// Net index → position in `comb_order`, `u32::MAX` for sources.
-    pub(crate) pos_of: Vec<u32>,
-    /// Comb position → logic level (a gate is one past its deepest fanin
-    /// gate; gates fed only by sources are level 0). Within a level gates
-    /// are independent, so the kernel's dirty lists are buckets keyed by
-    /// level.
-    pub(crate) level_of_pos: Vec<u32>,
-    /// Number of distinct gate levels.
-    pub(crate) n_levels: usize,
-    /// Net index → flip-flop index, `u32::MAX` for non-FF nets.
-    pub(crate) dff_pos_of: Vec<u32>,
-    /// Per comb position: output net index (kept for dirty-list
-    /// bookkeeping; evaluation goes through `flat`).
-    gate_net: Vec<u32>,
-    /// Per comb position: offset of the gate's first fanin pin (CSR
-    /// offsets, aligned with `flat`'s pin-target CSR).
-    pub(crate) fanin_off: Vec<u32>,
-    /// CSR consumer indexes, per net: comb positions of consuming gates
-    /// and indexes of consuming flip-flops.
-    gc_off: Vec<u32>,
-    gc: Vec<u32>,
-    dc_off: Vec<u32>,
-    dc: Vec<u32>,
-    /// Per flip-flop: output (Q) net index and data (D) net index.
-    dff_q: Vec<u32>,
-    dff_d: Vec<u32>,
-    /// Primary input and output net indexes, in declaration order.
-    pi: Vec<u32>,
-    po: Vec<u32>,
-    /// The compiled flat gate array (binarized op stream, components).
-    pub(crate) flat: FlatNetlist,
-}
-
-impl Topology {
-    pub(crate) fn build(circuit: &Circuit) -> Self {
-        let n = circuit.net_count();
-        let n_comb = circuit.comb_order().len();
-        let mut pos_of = vec![u32::MAX; n];
-        for (pos, &id) in circuit.comb_order().iter().enumerate() {
-            pos_of[id.index()] = pos as u32;
-        }
-        let mut dff_pos_of = vec![u32::MAX; n];
-        for (i, &q) in circuit.dffs().iter().enumerate() {
-            dff_pos_of[q.index()] = i as u32;
-        }
-
-        // Flat gate table and levels in one pass: comb_order is
-        // topological, so every fanin's level is known when its consumer
-        // is reached.
-        let mut level_of_net = vec![0u32; n];
-        let mut level_of_pos = vec![0u32; n_comb];
-        let mut n_levels = 0usize;
-        let mut gate_net = Vec::with_capacity(n_comb);
-        let mut fanin_off = Vec::with_capacity(n_comb + 1);
-        fanin_off.push(0);
-        for (pos, &id) in circuit.comb_order().iter().enumerate() {
-            let Driver::Gate { fanins, .. } = circuit.net(id).driver() else {
-                unreachable!("comb_order contains only gates");
-            };
-            let lvl = fanins
-                .iter()
-                .map(|f| level_of_net[f.index()])
-                .max()
-                .unwrap_or(0);
-            level_of_net[id.index()] = lvl + 1;
-            level_of_pos[pos] = lvl;
-            n_levels = n_levels.max(lvl as usize + 1);
-            gate_net.push(id.index() as u32);
-            fanin_off.push(fanin_off[pos] + fanins.len() as u32);
-        }
-
-        // CSR consumer lists (gates by comb position, FFs by index).
-        let mut gate_consumers = vec![Vec::new(); n];
-        let mut dff_consumers = vec![Vec::new(); n];
-        for net in 0..n {
-            let id = NetId::from_index(net);
-            for pin in circuit.fanouts(id) {
-                match circuit.net(pin.net).driver() {
-                    Driver::Gate { .. } => gate_consumers[net].push(pos_of[pin.net.index()]),
-                    Driver::Dff { .. } => dff_consumers[net].push(dff_pos_of[pin.net.index()]),
-                    Driver::Input => unreachable!("primary inputs have no fanin pins"),
-                }
-            }
-            gate_consumers[net].sort_unstable();
-            gate_consumers[net].dedup();
-            dff_consumers[net].sort_unstable();
-            dff_consumers[net].dedup();
-        }
-        let (gc_off, gc) = to_csr(&gate_consumers);
-        let (dc_off, dc) = to_csr(&dff_consumers);
-
-        let dff_q: Vec<u32> = circuit.dffs().iter().map(|q| q.index() as u32).collect();
-        let dff_d: Vec<u32> = circuit
-            .dffs()
-            .iter()
-            .map(|&q| {
-                let Driver::Dff { d } = circuit.net(q).driver() else {
-                    unreachable!("dffs() contains only flip-flops");
-                };
-                d.index() as u32
-            })
-            .collect();
-        let pi: Vec<u32> = circuit.inputs().iter().map(|i| i.index() as u32).collect();
-        let po: Vec<u32> = circuit.outputs().iter().map(|o| o.index() as u32).collect();
-
-        let flat = FlatNetlist::build(circuit, &pos_of, &fanin_off);
-
-        Topology {
-            pos_of,
-            level_of_pos,
-            n_levels,
-            dff_pos_of,
-            gate_net,
-            fanin_off,
-            gc_off,
-            gc,
-            dc_off,
-            dc,
-            dff_q,
-            dff_d,
-            pi,
-            po,
-            flat,
-        }
-    }
-
-    /// Comb positions of the gates consuming net `net`.
-    #[inline]
-    fn gate_consumers(&self, net: usize) -> &[u32] {
-        &self.gc[self.gc_off[net] as usize..self.gc_off[net + 1] as usize]
-    }
-
-    /// Indexes of the flip-flops whose D input is net `net`.
-    #[inline]
-    fn dff_consumers(&self, net: usize) -> &[u32] {
-        &self.dc[self.dc_off[net] as usize..self.dc_off[net + 1] as usize]
-    }
-
-    /// Primary input net indexes, in declaration order.
-    #[inline]
-    pub(crate) fn pi(&self) -> &[u32] {
-        &self.pi
-    }
-
-    /// Per flip-flop: output (Q) net index.
-    #[inline]
-    pub(crate) fn dff_q(&self) -> &[u32] {
-        &self.dff_q
-    }
-
-    /// Per flip-flop: data (D) net index.
-    #[inline]
-    pub(crate) fn dff_d(&self) -> &[u32] {
-        &self.dff_d
-    }
-
-    /// Primary output net indexes, in declaration order.
-    pub(crate) fn po(&self) -> &[u32] {
-        &self.po
-    }
-}
-
-fn to_csr(lists: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
-    let mut off = Vec::with_capacity(lists.len() + 1);
-    let mut flat = Vec::with_capacity(lists.iter().map(Vec::len).sum());
-    off.push(0);
-    for list in lists {
-        flat.extend_from_slice(list);
-        off.push(flat.len() as u32);
-    }
-    (off, flat)
-}
-
-// ---------------------------------------------------------------------------
 // Fault-free trace
 // ---------------------------------------------------------------------------
 
 /// Fault-free net values and machine states for one extension, computed by
-/// a single scalar pass over the flat op stream and then read (not written)
-/// by every batch kernel.
+/// [`Topology::step_scalar`] one time unit at a time and then read (not
+/// written) by every batch kernel.
 #[derive(Default)]
 pub(crate) struct TraceBuf {
     n_nets: usize,
@@ -321,20 +137,17 @@ impl TraceBuf {
         self.states.clear();
         self.states.resize((self.len + 1) * self.n_ff, Logic::X);
         self.tmp.clear();
-        self.tmp.resize(topo.flat.n_temps, Logic::X);
+        self.tmp.resize(topo.n_temps, Logic::X);
         self.states[..self.n_ff].copy_from_slice(init);
         for (t, v) in seq.iter().enumerate() {
-            let row = &mut self.vals[t * self.n_nets..(t + 1) * self.n_nets];
-            for (&pi, &val) in topo.pi.iter().zip(v) {
-                row[pi as usize] = val;
-            }
-            for (i, &q) in topo.dff_q.iter().enumerate() {
-                row[q as usize] = self.states[t * self.n_ff + i];
-            }
-            topo.flat.eval_scalar(row, &mut self.tmp);
-            for (i, &d) in topo.dff_d.iter().enumerate() {
-                self.states[(t + 1) * self.n_ff + i] = row[d as usize];
-            }
+            let (head, rest) = self.states.split_at_mut((t + 1) * self.n_ff);
+            topo.step_scalar(
+                v,
+                &head[t * self.n_ff..],
+                &mut self.vals[t * self.n_nets..(t + 1) * self.n_nets],
+                &mut rest[..self.n_ff],
+                &mut self.tmp,
+            );
         }
     }
 
@@ -425,15 +238,14 @@ impl<const W: usize> KernelScratch<W> {
         let n = circuit.net_count();
         let n_comb = circuit.comb_order().len();
         let n_ff = circuit.dffs().len();
-        let flat = &topo.flat;
-        if self.inj_nets != n || self.inj_ops != flat.ops.len() {
-            self.inj = WideInjection::new(n, flat.ops.len(), n_comb, n_ff);
+        if self.inj_nets != n || self.inj_ops != topo.ops.len() {
+            self.inj = WideInjection::new(n, topo.ops.len(), n_comb, n_ff);
             self.inj_nets = n;
-            self.inj_ops = flat.ops.len();
+            self.inj_ops = topo.ops.len();
         }
-        if self.diff.len() != flat.n_slots {
+        if self.diff.len() != topo.n_slots {
             self.diff.clear();
-            self.diff.resize(flat.n_slots, WideWord::ALL_X);
+            self.diff.resize(topo.n_slots, WideWord::ALL_X);
         }
         // Keyed on the net count, not the slot count: circuits with the
         // same number of value slots can differ in nets.
@@ -454,14 +266,14 @@ impl<const W: usize> KernelScratch<W> {
             self.ff_seen.clear();
             self.ff_seen.resize(n_ff, false);
         }
-        if self.comp_active.len() != flat.n_comps {
+        if self.comp_active.len() != topo.n_comps {
             // `active_comps` carries over between batches of one circuit
             // (begin() resets it through `comp_active`); across a circuit
             // switch its component ids are meaningless and may be out of
             // range for the new `comp_active`, so drop them here.
             self.active_comps.clear();
             self.comp_active.clear();
-            self.comp_active.resize(flat.n_comps, false);
+            self.comp_active.resize(topo.n_comps, false);
         }
         if self.final_states.len() != n_ff {
             self.final_states.clear();
@@ -607,7 +419,6 @@ impl<'a, 'b, const W: usize> BatchStepper<'a, 'b, W> {
             all_comps: false,
         };
         let s = &mut *stepper.s;
-        let flat = &topo.flat;
         s.inj.load(circuit, topo, faults, batch);
 
         // Split the batch's injection sites by what they force each time
@@ -626,20 +437,21 @@ impl<'a, 'b, const W: usize> BatchStepper<'a, 'b, W> {
                 FaultSite::Stem(n) => n,
                 FaultSite::Branch(pin) => pin.net,
             };
-            let comp = flat.comp_of_net[site_net.index()];
+            let comp = topo.comp_of_net[site_net.index()];
             if !s.comp_active[comp as usize] {
                 s.comp_active[comp as usize] = true;
                 s.active_comps.push(comp);
             }
+            let position = circuit.position(site_net) as u32;
             match fault.site {
                 FaultSite::Stem(n) => match circuit.net(n).driver() {
                     Driver::Input => s.forced_src_pis.push(n.index() as u32),
-                    Driver::Dff { .. } => s.forced_src_ffs.push(topo.dff_pos_of[n.index()]),
-                    Driver::Gate { .. } => s.forced_gate_pos.push(topo.pos_of[n.index()]),
+                    Driver::Dff { .. } => s.forced_src_ffs.push(position),
+                    Driver::Gate { .. } => s.forced_gate_pos.push(position),
                 },
                 FaultSite::Branch(pin) => match circuit.net(pin.net).driver() {
-                    Driver::Gate { .. } => s.forced_gate_pos.push(topo.pos_of[pin.net.index()]),
-                    Driver::Dff { .. } => s.pin_forced_ffs.push(topo.dff_pos_of[pin.net.index()]),
+                    Driver::Gate { .. } => s.forced_gate_pos.push(position),
+                    Driver::Dff { .. } => s.pin_forced_ffs.push(position),
                     Driver::Input => unreachable!("primary inputs have no fanin pins"),
                 },
             }
@@ -663,7 +475,7 @@ impl<'a, 'b, const W: usize> BatchStepper<'a, 'b, W> {
             if word != WideWord::broadcast(good) {
                 s.ff_diff.push((ff as u32, word));
                 s.ff_in_diff[ff] = true;
-                let comp = flat.comp_of_net[topo.dff_q[ff] as usize];
+                let comp = topo.comp_of_net[topo.dff_q[ff] as usize];
                 if !s.comp_active[comp as usize] {
                     s.comp_active[comp as usize] = true;
                     s.active_comps.push(comp);
@@ -671,7 +483,7 @@ impl<'a, 'b, const W: usize> BatchStepper<'a, 'b, W> {
             }
         }
         s.active_comps.sort_unstable();
-        stepper.all_comps = s.active_comps.len() == flat.n_comps;
+        stepper.all_comps = s.active_comps.len() == topo.n_comps;
         stepper
     }
 
@@ -686,7 +498,6 @@ impl<'a, 'b, const W: usize> BatchStepper<'a, 'b, W> {
     /// previously detected lanes — every lane keeps being simulated).
     pub(crate) fn step(&mut self, row: &[Logic], good_next: &[Logic]) -> [u64; W] {
         let topo = self.topo;
-        let flat = &topo.flat;
         let s = &mut *self.s;
         let mut conflict_mask = [0u64; W];
 
@@ -722,10 +533,10 @@ impl<'a, 'b, const W: usize> BatchStepper<'a, 'b, W> {
                 }
             } else {
                 for &c in &s.active_comps {
-                    for &p in flat.comp_pis(c as usize) {
+                    for &p in topo.comp_pis(c as usize) {
                         s.diff[p as usize] = WideWord::broadcast(row[p as usize]);
                     }
-                    for &ffi in flat.comp_ffs(c as usize) {
+                    for &ffi in topo.comp_ffs(c as usize) {
                         let q = topo.dff_q[ffi as usize] as usize;
                         s.diff[q] = WideWord::broadcast(row[q]);
                     }
@@ -740,11 +551,11 @@ impl<'a, 'b, const W: usize> BatchStepper<'a, 'b, W> {
 
             // Op sweep.
             if self.all_comps {
-                sweep_ops(&flat.ops, &mut s.diff, &s.inj, 0, flat.ops.len() as u32);
+                sweep_ops(&topo.ops, &mut s.diff, &s.inj, 0, topo.ops.len() as u32);
             } else {
                 for &c in &s.active_comps {
-                    let (start, end) = flat.comp_ops[c as usize];
-                    sweep_ops(&flat.ops, &mut s.diff, &s.inj, start, end);
+                    let (start, end) = topo.comp_ops[c as usize];
+                    sweep_ops(&topo.ops, &mut s.diff, &s.inj, start, end);
                 }
             }
 
@@ -762,7 +573,7 @@ impl<'a, 'b, const W: usize> BatchStepper<'a, 'b, W> {
                 }
             } else {
                 for &c in &s.active_comps {
-                    for &oi in flat.comp_pos(c as usize) {
+                    for &oi in topo.comp_pos(c as usize) {
                         check_po(topo.po[oi as usize] as usize);
                     }
                 }
@@ -785,7 +596,7 @@ impl<'a, 'b, const W: usize> BatchStepper<'a, 'b, W> {
             } else {
                 for ci in 0..s.active_comps.len() {
                     let c = s.active_comps[ci] as usize;
-                    for &fi in flat.comp_ffs(c) {
+                    for &fi in topo.comp_ffs(c) {
                         transfer(s, fi as usize);
                     }
                 }
@@ -863,7 +674,7 @@ impl<'a, 'b, const W: usize> BatchStepper<'a, 'b, W> {
             let mut bucket = std::mem::take(&mut s.buckets[lvl]);
             for &pos in &bucket {
                 s.in_queue[pos as usize] = false;
-                let (out_net, out) = eval_pos(flat, &s.inj, &mut s.diff, &s.diverged, row, pos);
+                let (out_net, out) = eval_pos(topo, &s.inj, &mut s.diff, &s.diverged, row, pos);
                 if out != WideWord::broadcast(row[out_net]) {
                     s.diff[out_net] = out;
                     s.diverged[out_net] = true;
@@ -1081,7 +892,12 @@ pub(crate) fn sweep_ops<const W: usize>(
 
 /// The branchless inner loop: a straight sweep over a patch-free op span.
 #[inline]
-fn run_span<const W: usize>(ops: &[FlatOp], vals: &mut [WideWord<W>], start: usize, end: usize) {
+pub(crate) fn run_span<const W: usize>(
+    ops: &[FlatOp],
+    vals: &mut [WideWord<W>],
+    start: usize,
+    end: usize,
+) {
     for o in &ops[start..end] {
         let (a, b) = (vals[o.a as usize], vals[o.b as usize]);
         vals[o.out as usize] = eval_op_w(o.code, a, b);
@@ -1095,7 +911,7 @@ fn run_span<const W: usize>(ops: &[FlatOp], vals: &mut [WideWord<W>], start: usi
 /// index and its new faulty word (not yet stored).
 #[inline]
 fn eval_pos<const W: usize>(
-    flat: &FlatNetlist,
+    topo: &Topology,
     inj: &WideInjection<W>,
     diff: &mut [WideWord<W>],
     diverged: &[bool],
@@ -1122,12 +938,12 @@ fn eval_pos<const W: usize>(
         }
     }
 
-    let n = flat.n_nets;
-    let (start, end) = flat.gate_ops[pos as usize];
+    let n = topo.n_nets;
+    let (start, end) = topo.gate_ops[pos as usize];
     let patched = inj.gate_is_patched(pos as usize);
     let mut idx = start as usize;
     loop {
-        let o = flat.ops[idx];
+        let o = topo.ops[idx];
         let a = rd(diff, diverged, row, n, o.a);
         let b = rd(diff, diverged, row, n, o.b);
         let r = if patched {

@@ -26,8 +26,9 @@ use limscan_obs::{Metric, ObsHandle, SpanKind};
 use crate::dense::DenseBatch;
 use crate::engine::{
     run_batch, sim_threads, with_kernel, with_trace, BatchOutcome, ExtendCtx, KernelScratch,
-    Topology, TraceBuf, PARALLEL_THRESHOLD,
+    TraceBuf, PARALLEL_THRESHOLD,
 };
+use crate::flat::Topology;
 use crate::frame::FrameSim;
 use crate::good::{eval_comb, next_state, SeqGoodSim};
 use crate::logic::Logic;
@@ -268,8 +269,8 @@ impl<'a> SeqFaultSim<'a> {
         let before = self.n_detected;
 
         // Topological packing: faults sharing a cone land in the same
-        // batch, so each batch's events stay local. Sources (`pos_of` is
-        // u32::MAX) sort after gates within a component.
+        // batch, so each batch's events stay local. Sources (no comb
+        // position) sort after gates within a component.
         let mut active = self.undetected();
         let topo = &self.topo;
         active.sort_unstable_by_key(|&fid| {
@@ -277,8 +278,9 @@ impl<'a> SeqFaultSim<'a> {
                 FaultSite::Stem(n) => n,
                 FaultSite::Branch(pin) => pin.net,
             };
-            let comp = topo.flat.comp_of_net[site.index()];
-            (comp, topo.pos_of[site.index()], fid.index())
+            let comp = topo.comp_of_net[site.index()];
+            let pos = self.circuit.comb_position(site).unwrap_or(usize::MAX);
+            (comp, pos, fid.index())
         });
 
         let observed = self.obs.is_enabled();
@@ -369,9 +371,8 @@ impl<'a> SeqFaultSim<'a> {
             }
 
             if observed {
-                let kernel_bytes = max_threads
-                    * self.topo.flat.n_slots
-                    * std::mem::size_of::<WideWord<LANE_WORDS>>();
+                let kernel_bytes =
+                    max_threads * self.topo.n_slots * std::mem::size_of::<WideWord<LANE_WORDS>>();
                 self.emit_extend_metrics(
                     seq.len(),
                     batches_run as usize,

@@ -1,6 +1,6 @@
-//! Flat binarized gate array: the "compiled" form of a levelized netlist.
+//! The compiled form of a circuit: [`Topology`].
 //!
-//! [`FlatNetlist::build`] lowers every gate of a circuit into a stream of
+//! [`Topology::build`] lowers every gate of a circuit into a stream of
 //! fixed-size two-input [`FlatOp`] records — opcode plus operand/output
 //! slot indexes in one contiguous buffer. Evaluating a time unit is then a
 //! single linear sweep over that buffer: no `Driver` enum chasing, no
@@ -11,6 +11,11 @@
 //! `eval_gate` exactly), and a `Mux` becomes the three-term Kleene form
 //! `(!s & d0) | (s & d1) | (d0 & d1)`, whose bit-plane expansion is
 //! algebraically identical to [`WideWord::mux`](crate::WideWord::mux).
+//! Alongside the op stream the topology keeps what the batch kernel needs
+//! per circuit: the consumers of every net, each gate's level, and the
+//! primary-input, primary-output and flip-flop net lists. Positions and
+//! levels come from the circuit's own index
+//! ([`Circuit::position`], [`Circuit::level`]).
 //!
 //! The lowering also computes the circuit's *weakly-connected components*
 //! over gate fanin edges and flip-flop D→Q edges. A fault's divergence can
@@ -28,9 +33,8 @@
 //! sweep hoists them out by running branchless spans between patched ops.
 
 use limscan_fault::{Fault, FaultId, FaultList, FaultSite, StuckAt};
-use limscan_netlist::{Circuit, Driver, GateKind};
+use limscan_netlist::{Circuit, Driver, GateKind, NetId};
 
-use crate::engine::Topology;
 use crate::logic::Logic;
 use crate::parallel::WideWord;
 
@@ -157,27 +161,52 @@ impl Dsu {
     }
 }
 
-/// The compiled flat form of a circuit: binarized op stream, per-gate and
-/// per-component ranges, pin-read targets, and the component partition.
+/// The compiled form of a circuit: the binarized op stream with its
+/// per-gate and per-component ranges, pin-read targets and component
+/// partition, plus the fanout indexes the batch kernel walks.
+///
+/// Built once per simulator and shared by its clones through an `Arc`.
 #[derive(Debug)]
-pub(crate) struct FlatNetlist {
+pub(crate) struct Topology {
+    /// Number of nets: value slots below it are nets.
     pub(crate) n_nets: usize,
     /// Value-buffer length: nets plus the shared intra-gate scratch slots.
     pub(crate) n_slots: usize,
     /// Number of shared scratch slots (`n_slots - n_nets`).
     pub(crate) n_temps: usize,
+    /// Comb position → level: the circuit level minus one, so gates fed
+    /// only by sources are level 0. Within a level gates are independent,
+    /// so the kernel's dirty lists are buckets keyed by level.
+    pub(crate) level_of_pos: Vec<u32>,
+    /// Number of distinct gate levels (the circuit's depth).
+    pub(crate) n_levels: usize,
+    /// Per comb position: output net index.
+    pub(crate) gate_net: Vec<u32>,
+    /// Per comb position: global index of the gate's first fanin pin (CSR
+    /// offsets into the pin-target CSR).
+    fanin_off: Vec<u32>,
+    /// CSR consumer indexes, per net: comb positions of consuming gates
+    /// and indexes of consuming flip-flops.
+    gc_off: Vec<u32>,
+    gc: Vec<u32>,
+    dc_off: Vec<u32>,
+    dc: Vec<u32>,
+    /// Per flip-flop: output (Q) net index and data (D) net index.
+    pub(crate) dff_q: Vec<u32>,
+    pub(crate) dff_d: Vec<u32>,
+    /// Primary input and output net indexes, in declaration order.
+    pub(crate) pi: Vec<u32>,
+    pub(crate) po: Vec<u32>,
     /// The op stream, component-contiguous, topologically ordered within
     /// each component.
     pub(crate) ops: Vec<FlatOp>,
-    /// Per comb position: `[start, end)` op range of the gate.
+    /// Per comb position: `[start, end)` op range of the gate. The last
+    /// op of the range writes the gate's output net.
     pub(crate) gate_ops: Vec<(u32, u32)>,
-    /// Per comb position: the op writing the gate's output net (always the
-    /// last op of the gate's range).
-    pub(crate) stem_op: Vec<u32>,
-    /// Pin-read targets, CSR aligned with the topology's fanin CSR: global
-    /// pin index → `(op index, operand slot)` pairs, slot 0 = `a`, 1 = `b`.
-    pub(crate) pin_tgt_off: Vec<u32>,
-    pub(crate) pin_tgt: Vec<(u32, u8)>,
+    /// Pin-read targets, per global pin index: `(op index, operand slot)`
+    /// pairs, slot 0 = `a`, 1 = `b`.
+    pin_tgt_off: Vec<u32>,
+    pin_tgt: Vec<(u32, u8)>,
     /// Net index → weakly-connected component id.
     pub(crate) comp_of_net: Vec<u32>,
     pub(crate) n_comps: usize,
@@ -195,32 +224,58 @@ pub(crate) struct FlatNetlist {
     comp_po: Vec<u32>,
 }
 
-impl FlatNetlist {
-    /// Lowers `circuit` into the flat form. `pos_of` maps net index → comb
-    /// position (`u32::MAX` for sources) and `fanin_off` is the topology's
-    /// per-position fanin CSR offset array, which the pin-target CSR here
-    /// stays aligned with.
-    pub(crate) fn build(circuit: &Circuit, pos_of: &[u32], fanin_off: &[u32]) -> Self {
+impl Topology {
+    /// Compiles `circuit`.
+    pub(crate) fn build(circuit: &Circuit) -> Self {
         let n_nets = circuit.net_count();
-        let n_comb = circuit.comb_order().len();
+        let comb = circuit.comb_order();
+        let n_comb = comb.len();
+        let net_u32 = |id: &NetId| id.index() as u32;
+
+        let mut fanin_off = Vec::with_capacity(n_comb + 1);
+        fanin_off.push(0);
+        for (pos, &id) in comb.iter().enumerate() {
+            fanin_off.push(fanin_off[pos] + circuit.net(id).driver().fanins().len() as u32);
+        }
+
+        // CSR consumer lists (gates by comb position, FFs by index).
+        let mut gate_consumers = vec![Vec::new(); n_nets];
+        let mut dff_consumers = vec![Vec::new(); n_nets];
+        for net in 0..n_nets {
+            for pin in circuit.fanouts(NetId::from_index(net)) {
+                let position = circuit.position(pin.net) as u32;
+                match circuit.net(pin.net).driver() {
+                    Driver::Gate { .. } => gate_consumers[net].push(position),
+                    Driver::Dff { .. } => dff_consumers[net].push(position),
+                    Driver::Input => unreachable!("primary inputs have no fanin pins"),
+                }
+            }
+            gate_consumers[net].sort_unstable();
+            gate_consumers[net].dedup();
+            dff_consumers[net].sort_unstable();
+            dff_consumers[net].dedup();
+        }
+        let (gc_off, gc) = to_csr(&gate_consumers);
+        let (dc_off, dc) = to_csr(&dff_consumers);
+
+        let d_of = |q: &NetId| {
+            let Driver::Dff { d } = circuit.net(*q).driver() else {
+                unreachable!("dffs() contains only flip-flops");
+            };
+            d.index() as u32
+        };
 
         // --- Components: union gate outputs with their fanins and FF
         // outputs with their D nets. Everything a fault effect can traverse
         // crosses exactly these edges, so divergence is component-confined.
         let mut dsu = Dsu::new(n_nets);
-        for &id in circuit.comb_order() {
-            let Driver::Gate { fanins, .. } = circuit.net(id).driver() else {
-                unreachable!("comb_order contains only gates");
-            };
-            for f in fanins {
+        for &id in comb {
+            for f in circuit.net(id).driver().fanins() {
                 dsu.union(id.index() as u32, f.index() as u32);
             }
         }
-        for &q in circuit.dffs() {
-            let Driver::Dff { d } = circuit.net(q).driver() else {
-                unreachable!("dffs() contains only flip-flops");
-            };
-            dsu.union(q.index() as u32, d.index() as u32);
+        for q in circuit.dffs() {
+            dsu.union(net_u32(q), d_of(q));
         }
         let mut comp_of_net = vec![u32::MAX; n_nets];
         let mut n_comps = 0usize;
@@ -237,7 +292,7 @@ impl FlatNetlist {
         // the stream stays topological inside a component, and components
         // are mutually independent.
         let mut comp_gates: Vec<Vec<u32>> = vec![Vec::new(); n_comps];
-        for (pos, &id) in circuit.comb_order().iter().enumerate() {
+        for (pos, &id) in comb.iter().enumerate() {
             comp_gates[comp_of_net[id.index()] as usize].push(pos as u32);
         }
 
@@ -246,7 +301,6 @@ impl FlatNetlist {
         // range): 1 slot for n-ary chains, 5 for the mux decomposition.
         let mut ops: Vec<FlatOp> = Vec::new();
         let mut gate_ops = vec![(0u32, 0u32); n_comb];
-        let mut stem_op = vec![0u32; n_comb];
         let mut pin_tgts: Vec<Vec<(u32, u8)>> = vec![Vec::new(); fanin_off[n_comb] as usize];
         let mut n_temps = 0usize;
         let t = |k: usize| (n_nets + k) as u32;
@@ -255,7 +309,7 @@ impl FlatNetlist {
             let comp_start = ops.len() as u32;
             for &pos in gates {
                 let pos = pos as usize;
-                let id = circuit.comb_order()[pos];
+                let id = comb[pos];
                 let Driver::Gate { kind, fanins } = circuit.net(id).driver() else {
                     unreachable!("comb_order contains only gates");
                 };
@@ -389,12 +443,10 @@ impl FlatNetlist {
                 }
                 let end = ops.len() as u32;
                 gate_ops[pos] = (start, end);
-                stem_op[pos] = end - 1;
                 debug_assert_eq!(ops[end as usize - 1].out, out);
             }
             comp_ops[comp] = (comp_start, ops.len() as u32);
         }
-        debug_assert!(pos_of.len() == n_nets);
 
         // --- Per-component source/output lists.
         let mut comp_pis: Vec<Vec<u32>> = vec![Vec::new(); n_comps];
@@ -414,13 +466,24 @@ impl FlatNetlist {
         let (comp_po_off, comp_po) = to_csr(&comp_pos);
         let (pin_tgt_off, pin_tgt) = to_csr(&pin_tgts);
 
-        FlatNetlist {
+        Topology {
             n_nets,
             n_slots: n_nets + n_temps,
             n_temps,
+            level_of_pos: comb.iter().map(|&id| circuit.level(id) - 1).collect(),
+            n_levels: circuit.depth() as usize,
+            gate_net: comb.iter().map(net_u32).collect(),
+            fanin_off,
+            gc_off,
+            gc,
+            dc_off,
+            dc,
+            dff_q: circuit.dffs().iter().map(net_u32).collect(),
+            dff_d: circuit.dffs().iter().map(d_of).collect(),
+            pi: circuit.inputs().iter().map(net_u32).collect(),
+            po: circuit.outputs().iter().map(net_u32).collect(),
             ops,
             gate_ops,
-            stem_op,
             pin_tgt_off,
             pin_tgt,
             comp_of_net,
@@ -455,15 +518,43 @@ impl FlatNetlist {
 
     /// The `(op index, operand slot)` targets reading global pin `g`.
     #[inline]
-    pub(crate) fn pin_targets(&self, g: usize) -> &[(u32, u8)] {
+    fn pin_targets(&self, g: usize) -> &[(u32, u8)] {
         &self.pin_tgt[self.pin_tgt_off[g] as usize..self.pin_tgt_off[g + 1] as usize]
     }
 
-    /// Scalar evaluation of the whole op stream: `row` holds net values
-    /// (sources pre-loaded), `tmp` the shared scratch slots
-    /// (`len >= n_temps`). Identical results to `eval_comb`; each op is one
-    /// [`SCALAR_TABLE`] lookup.
-    pub(crate) fn eval_scalar(&self, row: &mut [Logic], tmp: &mut [Logic]) {
+    /// Comb positions of the gates consuming net `net`.
+    #[inline]
+    pub(crate) fn gate_consumers(&self, net: usize) -> &[u32] {
+        &self.gc[self.gc_off[net] as usize..self.gc_off[net + 1] as usize]
+    }
+
+    /// Indexes of the flip-flops whose D input is net `net`.
+    #[inline]
+    pub(crate) fn dff_consumers(&self, net: usize) -> &[u32] {
+        &self.dc[self.dc_off[net] as usize..self.dc_off[net + 1] as usize]
+    }
+
+    /// One fault-free time unit in scalar three-valued logic: loads
+    /// `vector` and the present `state` into `row`, evaluates the op
+    /// stream (one [`SCALAR_TABLE`] lookup per op, `tmp` holding the
+    /// shared scratch slots, `len >= n_temps`) and writes the next state
+    /// into `next`. Every net of `row` is written. The fault-free trace of
+    /// an extension, the trial engine's rows and `CombFaultSim`'s frame
+    /// are all computed here.
+    pub(crate) fn step_scalar(
+        &self,
+        vector: &[Logic],
+        state: &[Logic],
+        row: &mut [Logic],
+        next: &mut [Logic],
+        tmp: &mut [Logic],
+    ) {
+        for (&pi, &v) in self.pi.iter().zip(vector) {
+            row[pi as usize] = v;
+        }
+        for (&q, &v) in self.dff_q.iter().zip(state) {
+            row[q as usize] = v;
+        }
         let n = self.n_nets;
         let read = |row: &[Logic], tmp: &[Logic], idx: u32| {
             let idx = idx as usize;
@@ -483,6 +574,9 @@ impl FlatNetlist {
             } else {
                 tmp[out - n] = r;
             }
+        }
+        for (s, &d) in next.iter_mut().zip(&self.dff_d) {
+            *s = row[d as usize];
         }
     }
 }
@@ -648,7 +742,6 @@ impl<const W: usize> WideInjection<W> {
     /// Distributes one fault to the mechanism that realises it: a source
     /// mask, op patches, or a flip-flop force.
     fn add(&mut self, circuit: &Circuit, topo: &Topology, fault: Fault, lanes: &[u64; W]) {
-        let flat = &topo.flat;
         let or = |target: &mut [u64; W]| {
             for (t, &m) in target.iter_mut().zip(lanes) {
                 *t |= m;
@@ -658,9 +751,9 @@ impl<const W: usize> WideInjection<W> {
         match fault.site {
             FaultSite::Stem(n) => match circuit.net(n).driver() {
                 Driver::Gate { .. } => {
-                    let pos = topo.pos_of[n.index()];
-                    self.mark_gate(pos);
-                    let p = self.patch_mut(flat.stem_op[pos as usize]);
+                    let pos = circuit.position(n);
+                    self.mark_gate(pos as u32);
+                    let p = self.patch_mut(topo.gate_ops[pos].1 - 1);
                     or(if sa0 { &mut p.o_sa0 } else { &mut p.o_sa1 });
                 }
                 _ => {
@@ -677,10 +770,10 @@ impl<const W: usize> WideInjection<W> {
             },
             FaultSite::Branch(pin) => match circuit.net(pin.net).driver() {
                 Driver::Gate { .. } => {
-                    let pos = topo.pos_of[pin.net.index()];
-                    self.mark_gate(pos);
-                    let g = (topo.fanin_off[pos as usize] + u32::from(pin.pin)) as usize;
-                    for &(op_idx, slot) in flat.pin_targets(g) {
+                    let pos = circuit.position(pin.net);
+                    self.mark_gate(pos as u32);
+                    let g = (topo.fanin_off[pos] + u32::from(pin.pin)) as usize;
+                    for &(op_idx, slot) in topo.pin_targets(g) {
                         let p = self.patch_mut(op_idx);
                         or(match (slot, sa0) {
                             (0, true) => &mut p.a_sa0,
@@ -691,7 +784,7 @@ impl<const W: usize> WideInjection<W> {
                     }
                 }
                 Driver::Dff { .. } => {
-                    let ffi = topo.dff_pos_of[pin.net.index()] as usize;
+                    let ffi = circuit.position(pin.net);
                     if self.ff_sa0[ffi] == [0; W] && self.ff_sa1[ffi] == [0; W] {
                         self.ff_forced.push(ffi as u32);
                     }
@@ -743,7 +836,7 @@ mod tests {
     use super::*;
 
     /// Every opcode over every operand pair: the table, read the way
-    /// `eval_scalar` reads it, equals the match it was built from and the
+    /// `step_scalar` reads it, equals the match it was built from and the
     /// wide kernel's evaluation.
     #[test]
     fn scalar_table_matches_eval_op_scalar() {

@@ -23,8 +23,8 @@ use std::sync::Arc;
 use limscan_fault::Fault;
 use limscan_netlist::{Circuit, NetId};
 
-use crate::engine::{sweep_ops, Topology};
-use crate::flat::WideInjection;
+use crate::engine::sweep_ops;
+use crate::flat::{Topology, WideInjection};
 use crate::logic::Logic;
 use crate::parallel::WideWord;
 
@@ -159,15 +159,14 @@ impl Frame {
     /// An evaluator for `topo`, compiled from `circuit`, with every lane
     /// fault-free and every value X.
     pub(crate) fn new(circuit: &Circuit, topo: &Topology) -> Self {
-        let flat = &topo.flat;
         Frame {
             inj: WideInjection::new(
                 circuit.net_count(),
-                flat.ops.len(),
+                topo.ops.len(),
                 circuit.comb_order().len(),
                 circuit.dffs().len(),
             ),
-            vals: vec![WideWord::ALL_X; flat.n_slots],
+            vals: vec![WideWord::ALL_X; topo.n_slots],
         }
     }
 
@@ -184,25 +183,25 @@ impl Frame {
 
     #[inline]
     fn set_input(&mut self, topo: &Topology, pos: usize, w: WideWord<1>) {
-        let net = topo.pi()[pos] as usize;
+        let net = topo.pi[pos] as usize;
         self.vals[net] = self.inj.force_src(net, w);
     }
 
     #[inline]
     fn set_state(&mut self, topo: &Topology, ff: usize, w: WideWord<1>) {
-        let net = topo.dff_q()[ff] as usize;
+        let net = topo.dff_q[ff] as usize;
         self.vals[net] = self.inj.force_src(net, w);
     }
 
     #[inline]
     fn eval(&mut self, topo: &Topology) {
-        let ops = &topo.flat.ops;
+        let ops = &topo.ops;
         sweep_ops(ops, &mut self.vals, &self.inj, 0, ops.len() as u32);
     }
 
     #[inline]
     fn next_state(&self, topo: &Topology, ff: usize) -> WideWord<1> {
-        let d = topo.dff_d()[ff] as usize;
+        let d = topo.dff_d[ff] as usize;
         self.inj.force_ff(ff, self.vals[d])
     }
 
@@ -226,7 +225,7 @@ impl Frame {
             self.set_state(topo, ff, pair);
         }
         self.eval(topo);
-        let detected = topo.po().iter().any(|&o| {
+        let detected = topo.po.iter().any(|&o| {
             let w = self.vals[o as usize];
             w.lane(0).conflicts(w.lane(1))
         });

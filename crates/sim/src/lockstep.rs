@@ -18,8 +18,8 @@
 
 use limscan_netlist::Circuit;
 
-use crate::engine::Topology;
-use crate::flat::eval_op_w;
+use crate::engine::run_span;
+use crate::flat::Topology;
 use crate::parallel::{WideWord, LANES, LANE_WORDS};
 
 /// A [`LANES`]-lane sequential good-circuit simulator.
@@ -65,9 +65,9 @@ impl LockstepSim {
     /// Compiles `circuit` and starts all lanes in the all-X state.
     pub fn new(circuit: &Circuit) -> Self {
         let topo = Topology::build(circuit);
-        let n_slots = topo.flat.n_slots;
-        let n_ffs = topo.dff_q().len();
-        let n_pos = topo.po().len();
+        let n_slots = topo.n_slots;
+        let n_ffs = topo.dff_q.len();
+        let n_pos = topo.po.len();
         LockstepSim {
             topo,
             vals: vec![WideWord::ALL_X; n_slots],
@@ -78,7 +78,7 @@ impl LockstepSim {
 
     /// Number of primary inputs (words expected by [`step`](Self::step)).
     pub fn n_inputs(&self) -> usize {
-        self.topo.pi().len()
+        self.topo.pi.len()
     }
 
     /// Number of primary outputs.
@@ -125,24 +125,20 @@ impl LockstepSim {
     pub fn step(&mut self, inputs: &[WideWord<LANE_WORDS>]) {
         assert_eq!(
             inputs.len(),
-            self.topo.pi().len(),
+            self.topo.pi.len(),
             "one input word per primary input"
         );
-        for (&slot, &w) in self.topo.pi().iter().zip(inputs) {
+        for (&slot, &w) in self.topo.pi.iter().zip(inputs) {
             self.vals[slot as usize] = w;
         }
-        for (&slot, &w) in self.topo.dff_q().iter().zip(&self.state) {
+        for (&slot, &w) in self.topo.dff_q.iter().zip(&self.state) {
             self.vals[slot as usize] = w;
         }
-        for op in &self.topo.flat.ops {
-            let a = self.vals[op.a as usize];
-            let b = self.vals[op.b as usize];
-            self.vals[op.out as usize] = eval_op_w(op.code, a, b);
-        }
-        for (s, &slot) in self.state.iter_mut().zip(self.topo.dff_d()) {
+        run_span(&self.topo.ops, &mut self.vals, 0, self.topo.ops.len());
+        for (s, &slot) in self.state.iter_mut().zip(&self.topo.dff_d) {
             *s = self.vals[slot as usize];
         }
-        for (o, &slot) in self.outs.iter_mut().zip(self.topo.po()) {
+        for (o, &slot) in self.outs.iter_mut().zip(&self.topo.po) {
             *o = self.vals[slot as usize];
         }
     }
