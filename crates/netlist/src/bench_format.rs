@@ -215,20 +215,6 @@ pub fn parse(name: &str, source: &str) -> Result<Circuit, NetlistError> {
     parse_raw(name, source).build()
 }
 
-/// [`parse`] under an explicit resource budget.
-///
-/// # Errors
-///
-/// Everything [`parse`] can return, plus
-/// [`NetlistError::LimitExceeded`] when the budget is crossed.
-pub fn parse_limited(
-    name: &str,
-    source: &str,
-    limits: &ParseLimits,
-) -> Result<Circuit, NetlistError> {
-    parse_raw_limited(name, source, limits).build()
-}
-
 fn strip_call<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
     let rest = line.strip_prefix(keyword)?.trim_start();
     rest.strip_prefix('(')?.strip_suffix(')')
@@ -242,36 +228,26 @@ fn strip_call<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
 /// Returns [`NetlistError::Io`] with the offending path for I/O failures,
 /// and the usual parse/validation errors otherwise.
 pub fn read_file(path: impl AsRef<std::path::Path>) -> Result<Circuit, NetlistError> {
-    read_file_limited(path, &ParseLimits::default())
-}
-
-/// [`read_file`] under an explicit resource budget. The file size is
-/// checked against the budget *before* the file is read into memory.
-///
-/// # Errors
-///
-/// Everything [`read_file`] can return, plus
-/// [`NetlistError::LimitExceeded`] when the budget is crossed.
-pub fn read_file_limited(
-    path: impl AsRef<std::path::Path>,
-    limits: &ParseLimits,
-) -> Result<Circuit, NetlistError> {
     let path = path.as_ref();
-    let source = read_source(path, limits)?;
+    let source = read_source(path, &ParseLimits::default())?;
     let name = path
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or("circuit");
-    parse_limited(name, &source, limits)
+    parse(name, &source)
 }
 
 /// Reads a source file with its size checked against the budget before
 /// any byte is loaded, so an oversized file costs a `stat`, not an
-/// allocation. Shared by the `.bench` and BLIF readers.
-pub(crate) fn read_source(
-    path: &std::path::Path,
-    limits: &ParseLimits,
-) -> Result<String, NetlistError> {
+/// allocation. Shared by the `.bench` and BLIF readers and by callers that
+/// parse a file permissively under their own budget.
+///
+/// # Errors
+///
+/// [`NetlistError::LimitExceeded`] (line 0) for a file larger than
+/// [`ParseLimits::max_source_bytes`], and [`NetlistError::Io`] with the
+/// offending path for I/O failures.
+pub fn read_source(path: &std::path::Path, limits: &ParseLimits) -> Result<String, NetlistError> {
     let meta = std::fs::metadata(path).map_err(|e| NetlistError::io(path, &e))?;
     if meta.len() > limits.max_source_bytes {
         return Err(NetlistError::LimitExceeded {
@@ -446,7 +422,7 @@ mod tests {
         // Net ceiling.
         let l = tight(|l| l.max_nets = 2);
         assert!(matches!(
-            parse_limited("c", src, &l),
+            parse_raw_limited("c", src, &l).build(),
             Err(NetlistError::LimitExceeded {
                 limit: ParseLimit::Nets,
                 line: 4,
@@ -456,7 +432,7 @@ mod tests {
         // Fanin ceiling.
         let l = tight(|l| l.max_fanin = 1);
         assert!(matches!(
-            parse_limited("c", src, &l),
+            parse_raw_limited("c", src, &l).build(),
             Err(NetlistError::LimitExceeded {
                 limit: ParseLimit::FaninArity,
                 actual: 2,
@@ -467,7 +443,7 @@ mod tests {
         let long = format!("INPUT({})\n", "x".repeat(64));
         let l = tight(|l| l.max_line_bytes = 16);
         assert!(matches!(
-            parse_limited("c", &long, &l),
+            parse_raw_limited("c", &long, &l).build(),
             Err(NetlistError::LimitExceeded {
                 limit: ParseLimit::LineBytes,
                 line: 1,
@@ -484,14 +460,19 @@ mod tests {
         let dir = std::env::temp_dir().join("limscan_bench_limit_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("big.bench");
-        std::fs::write(&path, "INPUT(a)\nOUTPUT(a)\n").unwrap();
-        let mut l = ParseLimits::default();
-        l.max_source_bytes = 4;
+        // Not UTF-8: reading the text would fail, so the size alone decides.
+        std::fs::write(&path, b"INPUT(a)\nOUTPUT(a)\n\xff").unwrap();
+        let l = ParseLimits {
+            max_source_bytes: 4,
+            ..ParseLimits::default()
+        };
         assert!(matches!(
-            read_file_limited(&path, &l),
+            read_source(&path, &l),
             Err(NetlistError::LimitExceeded {
                 limit: ParseLimit::SourceBytes,
-                ..
+                line: 0,
+                actual: 20,
+                max: 4,
             })
         ));
         std::fs::remove_file(&path).unwrap();

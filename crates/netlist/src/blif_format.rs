@@ -884,20 +884,6 @@ pub fn parse(name: &str, source: &str) -> Result<Circuit, NetlistError> {
     parse_raw(name, source).build()
 }
 
-/// [`parse`] under an explicit resource budget.
-///
-/// # Errors
-///
-/// Everything [`parse`] can return, plus
-/// [`NetlistError::LimitExceeded`] when the budget is crossed.
-pub fn parse_limited(
-    name: &str,
-    source: &str,
-    limits: &ParseLimits,
-) -> Result<Circuit, NetlistError> {
-    parse_raw_limited(name, source, limits).build()
-}
-
 /// Reads and parses a `.blif` file; the circuit is named by the file's
 /// `.model` line, falling back to the file stem.
 ///
@@ -906,27 +892,13 @@ pub fn parse_limited(
 /// Returns [`NetlistError::Io`] with the offending path for I/O failures,
 /// and the usual parse/validation errors otherwise.
 pub fn read_file(path: impl AsRef<std::path::Path>) -> Result<Circuit, NetlistError> {
-    read_file_limited(path, &ParseLimits::default())
-}
-
-/// [`read_file`] under an explicit resource budget. The file size is
-/// checked against the budget *before* the file is read into memory.
-///
-/// # Errors
-///
-/// Everything [`read_file`] can return, plus
-/// [`NetlistError::LimitExceeded`] when the budget is crossed.
-pub fn read_file_limited(
-    path: impl AsRef<std::path::Path>,
-    limits: &ParseLimits,
-) -> Result<Circuit, NetlistError> {
     let path = path.as_ref();
-    let source = crate::bench_format::read_source(path, limits)?;
+    let source = crate::bench_format::read_source(path, &ParseLimits::default())?;
     let name = path
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or("circuit");
-    parse_limited(name, &source, limits)
+    parse(name, &source)
 }
 
 /// Writes a circuit to a `.blif` file.
@@ -1334,10 +1306,12 @@ zz = OR(n3, n4, n5, n6, n7, n8, z)\n";
         src.push_str(
             ".names x y\n1 1\n.end\n.model inv\n.inputs a\n.outputs y\n.names a y\n0 1\n.end\n",
         );
-        let mut l = ParseLimits::default();
-        l.max_subckt_instances = 4;
+        let l = ParseLimits {
+            max_subckt_instances: 4,
+            ..ParseLimits::default()
+        };
         assert!(matches!(
-            parse_limited("t", &src, &l),
+            parse_raw_limited("t", &src, &l).build(),
             Err(NetlistError::LimitExceeded {
                 limit: ParseLimit::SubcktInstances,
                 ..
@@ -1351,20 +1325,24 @@ zz = OR(n3, n4, n5, n6, n7, n8, z)\n";
     fn cover_row_and_line_limits_truncate() {
         use crate::limits::{ParseLimit, ParseLimits};
         let src = ".model m\n.inputs a b\n.outputs y\n.names a b y\n10 1\n01 1\n11 1\n.end\n";
-        let mut l = ParseLimits::default();
-        l.max_cover_rows = 2;
+        let l = ParseLimits {
+            max_cover_rows: 2,
+            ..ParseLimits::default()
+        };
         assert!(matches!(
-            parse_limited("m", src, &l),
+            parse_raw_limited("m", src, &l).build(),
             Err(NetlistError::LimitExceeded {
                 limit: ParseLimit::CoverRows,
                 line: 7,
                 ..
             })
         ));
-        let mut l = ParseLimits::default();
-        l.max_line_bytes = 8;
+        let l = ParseLimits {
+            max_line_bytes: 8,
+            ..ParseLimits::default()
+        };
         assert!(matches!(
-            parse_limited("m", src, &l),
+            parse_raw_limited("m", src, &l).build(),
             Err(NetlistError::LimitExceeded {
                 limit: ParseLimit::LineBytes,
                 ..

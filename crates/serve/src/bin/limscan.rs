@@ -108,7 +108,9 @@ use limscan::atpg::genetic::GeneticConfig;
 use limscan::fault::CollapseStats;
 use limscan::lint::{Diagnostic, LintConfig, LintReport, Linter, Severity};
 use limscan::netlist::raw::RawNetlist;
-use limscan::netlist::{bench_format, blif_format, CircuitStats, ParseLimits};
+use limscan::netlist::{
+    bench_format, blif_format, CircuitStats, LimitViolation, NetlistError, ParseLimits,
+};
 use limscan::obs::Json;
 use limscan::scan::program::{parse_program, program_stats, write_program};
 use limscan::{
@@ -245,14 +247,40 @@ fn load_circuit(arg: &str) -> Result<Circuit, String> {
 
 /// The permissive parse of a circuit argument under `limits`, labelled by
 /// the argument, so lint findings keep their source lines. A benchmark
-/// name parses its written-out `.bench` text.
+/// name parses its written-out `.bench` text. A file's size is checked
+/// before it is read: an oversized file gives the same truncated netlist
+/// its text would.
 fn load_raw(arg: &str, limits: &ParseLimits) -> Result<RawNetlist, String> {
-    let read = || std::fs::read_to_string(arg).map_err(|e| format!("cannot read {arg}: {e}"));
-    Ok(match file_format(arg) {
-        Some(Format::Blif) => blif_format::parse_raw_limited(arg, &read()?, limits),
-        Some(Format::Bench) => bench_format::parse_raw_limited(arg, &read()?, limits),
-        None => bench_format::parse_raw_limited(arg, &bench_format::write(&embedded(arg)?), limits),
-    })
+    let parse = match file_format(arg) {
+        Some(Format::Blif) => blif_format::parse_raw_limited,
+        Some(Format::Bench) => bench_format::parse_raw_limited,
+        None => {
+            let source = bench_format::write(&embedded(arg)?);
+            return Ok(bench_format::parse_raw_limited(arg, &source, limits));
+        }
+    };
+    match bench_format::read_source(Path::new(arg), limits) {
+        Ok(source) => Ok(parse(arg, &source, limits)),
+        Err(NetlistError::LimitExceeded {
+            limit,
+            line,
+            actual,
+            max,
+        }) => Ok(RawNetlist {
+            name: arg.to_owned(),
+            decls: Vec::new(),
+            outputs: Vec::new(),
+            syntax_errors: Vec::new(),
+            limit_error: Some(LimitViolation {
+                limit,
+                line,
+                actual,
+                max,
+            }),
+        }),
+        Err(NetlistError::Io { message, .. }) => Err(format!("cannot read {arg}: {message}")),
+        Err(e) => Err(e.to_string()),
+    }
 }
 
 /// The circuit argument, which comes first.

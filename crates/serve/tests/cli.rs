@@ -343,6 +343,24 @@ fn lint_limit_violation_is_an_l007_error() {
 }
 
 #[test]
+fn lint_refuses_an_oversized_file_by_its_size() {
+    // About 1 MiB of comment lines, ending in a byte that is not UTF-8:
+    // reading the text would fail, so only the size check before the read
+    // can give the finding.
+    let mut big = b"INPUT(a)\nOUTPUT(a)\n".to_vec();
+    big.resize(1 << 20, b'#');
+    *big.last_mut().unwrap() = 0xff;
+    std::fs::write(temp_path("big.bench"), &big).expect("write bench");
+    let (status, stdout) = lint(&["big.bench", "--limit", "source-bytes=1024"]);
+    assert_eq!(status, Some(1), "{stdout}");
+    assert!(stdout.contains("error[L007] limit-exceeded"), "{stdout}");
+    assert!(
+        stdout.contains("source bytes limit exceeded: 1048576 > 1024"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn lint_json_is_pinned_on_the_cyclic_source() {
     std::fs::write(temp_path("cyclic_json.bench"), CYCLIC_SRC).expect("write bench");
     let (status, stdout) = lint(&["cyclic_json.bench", "--json"]);
