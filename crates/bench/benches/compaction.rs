@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use limscan::atpg::first_approach::{generate, CombAtpgConfig};
-use limscan::compact::{omission, restoration, scan_test_set, segment_prune};
+use limscan::compact::{omission, restoration, scan_test_set};
 use limscan::{benchmarks, AtpgConfig, FaultList, ScanCircuit, SequentialAtpg};
 
 fn bench_restoration_and_omission(c: &mut Criterion) {
@@ -32,13 +32,8 @@ fn bench_restoration_and_omission(c: &mut Criterion) {
         );
         let restored = restoration(cs, &faults, &generated).sequence;
         group.bench_with_input(BenchmarkId::new("omission", name), &restored, |b, seq| {
-            b.iter(|| omission(cs, &faults, seq, 2).sequence.len())
+            b.iter(|| omission(cs, &faults, seq, 2).sequence.len());
         });
-        group.bench_with_input(
-            BenchmarkId::new("segment_prune", name),
-            &generated,
-            |b, seq| b.iter(|| segment_prune(cs, &faults, seq, 4).sequence.len()),
-        );
     }
     group.finish();
 }
@@ -57,7 +52,7 @@ fn bench_complete_vs_limited(c: &mut Criterion) {
             scan_test_set(&circuit, &base_faults, &set)
                 .set
                 .application_cycles()
-        })
+        });
     });
 
     let scan_faults = FaultList::collapsed(sc.circuit());
@@ -70,7 +65,7 @@ fn bench_complete_vs_limited(c: &mut Criterion) {
             omission(sc.circuit(), &scan_faults, &restored, 1)
                 .sequence
                 .len()
-        })
+        });
     });
     group.finish();
 }

@@ -59,12 +59,10 @@
 mod omission;
 mod restoration;
 mod scan_compact;
-mod segments;
 
 pub use omission::{omission, omission_pass_resumable, omission_reference};
 pub use restoration::{restoration, restoration_reference, restoration_resumable};
 pub use scan_compact::{scan_test_set, CompactedSet};
-pub use segments::segment_prune;
 
 use limscan_sim::TestSequence;
 

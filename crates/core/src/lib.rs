@@ -86,7 +86,7 @@ pub use limscan_sim as sim;
 
 pub use limscan_analyze::{AnalysisSummary, FaultPartition, StaticAnalysis, UntestableReason};
 pub use limscan_atpg::{AtpgConfig, AtpgOutcome, SequentialAtpg};
-pub use limscan_compact::{omission, restoration, segment_prune, Compacted};
+pub use limscan_compact::{omission, restoration, Compacted};
 pub use limscan_equiv::{
     check, detection_diff, detection_diff_excluding, Counterexample, DetectionDiff, EquivOptions,
     EquivVerdict,
