@@ -30,7 +30,7 @@ fn bench_podem(c: &mut Criterion) {
                         .iter()
                         .filter(|&(_, f)| engine.run(f, &opts).is_some())
                         .count()
-                })
+                });
             },
         );
     }
@@ -55,7 +55,7 @@ fn bench_sequential(c: &mut Criterion) {
                         .run()
                         .sequence
                         .len()
-                })
+                });
             });
         }
     }
@@ -75,7 +75,7 @@ fn bench_engines(c: &mut Criterion) {
                 .run()
                 .report
                 .detected_count()
-        })
+        });
     });
     group.bench_function("genetic_s27", |b| {
         b.iter(|| {
@@ -83,7 +83,7 @@ fn bench_engines(c: &mut Criterion) {
                 .run()
                 .1
                 .detected_count()
-        })
+        });
     });
     group.finish();
 }

@@ -32,7 +32,7 @@ fn bench_fault_sim(c: &mut Criterion) {
             BenchmarkId::new("parallel", name),
             &(&sc, &faults, &seq),
             |b, (sc, faults, seq)| {
-                b.iter(|| SeqFaultSim::run(sc.circuit(), faults, seq).detected_count())
+                b.iter(|| SeqFaultSim::run(sc.circuit(), faults, seq).detected_count());
             },
         );
         if name == "s27" {
@@ -45,7 +45,7 @@ fn bench_fault_sim(c: &mut Criterion) {
                             .iter()
                             .filter(|(_, f)| single_fault_detects(sc.circuit(), *f, seq).is_some())
                             .count()
-                    })
+                    });
                 },
             );
         }
@@ -70,7 +70,7 @@ fn bench_engines(c: &mut Criterion) {
                 b.iter(|| {
                     let mut sim = SeqFaultSim::new(circuit, faults);
                     sim.extend_reference(seq)
-                })
+                });
             },
         );
         set_sim_threads(Some(1));
@@ -81,7 +81,7 @@ fn bench_engines(c: &mut Criterion) {
                 b.iter(|| {
                     let mut sim = SeqFaultSim::new(circuit, faults);
                     sim.extend(seq)
-                })
+                });
             },
         );
         set_sim_threads(None);
@@ -92,7 +92,7 @@ fn bench_engines(c: &mut Criterion) {
                 b.iter(|| {
                     let mut sim = SeqFaultSim::new(circuit, faults);
                     sim.extend(seq)
-                })
+                });
             },
         );
     }
@@ -113,7 +113,7 @@ fn bench_incremental_extend(c: &mut Criterion) {
         b.iter(|| {
             let mut snapshot = sim.clone();
             snapshot.extend(&step)
-        })
+        });
     });
 }
 

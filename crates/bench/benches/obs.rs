@@ -43,7 +43,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
                 b.iter(|| {
                     let mut sim = SeqFaultSim::new(circuit, faults);
                     sim.extend(seq)
-                })
+                });
             },
         );
         group.bench_with_input(
@@ -55,7 +55,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
                     let mut sim = SeqFaultSim::new(circuit, faults);
                     sim.set_obs(&obs);
                     sim.extend(seq)
-                })
+                });
             },
         );
         group.bench_with_input(
@@ -68,7 +68,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
                     let mut sim = SeqFaultSim::new(circuit, faults);
                     sim.set_obs(&obs);
                     sim.extend(seq)
-                })
+                });
             },
         );
     }

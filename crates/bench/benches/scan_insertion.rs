@@ -11,7 +11,7 @@ fn bench_insertion_and_faults(c: &mut Criterion) {
     for name in ["s27", "s298", "s641", "s1423"] {
         let circuit = benchmarks::load(name).expect("suite circuit");
         group.bench_with_input(BenchmarkId::new("scan_insert", name), &circuit, |b, c| {
-            b.iter(|| ScanCircuit::insert(c).n_sv())
+            b.iter(|| ScanCircuit::insert(c).n_sv());
         });
         let sc = ScanCircuit::insert(&circuit);
         group.bench_with_input(
@@ -29,7 +29,7 @@ fn bench_translation(c: &mut Criterion) {
     let faults = FaultList::collapsed(&circuit);
     let set = generate(&circuit, &faults, &CombAtpgConfig::default()).set;
     c.bench_function("substrate/translate_s298", |b| {
-        b.iter(|| sc.translate(&set).len())
+        b.iter(|| sc.translate(&set).len());
     });
 }
 

@@ -42,7 +42,7 @@ fn main() {
         let list = args.remove(i);
         only = Some(list.split(',').map(str::to_owned).collect());
     }
-    let which = args.first().map(String::as_str).unwrap_or("all");
+    let which = args.first().map_or("all", String::as_str);
 
     match which {
         "table1" => table1(),
@@ -95,7 +95,7 @@ fn print_sequence(sc: &ScanCircuit, seq: &TestSequence) {
                 .enumerate()
                 .map(|(t, v)| {
                     let mut row = vec![t.to_string()];
-                    row.extend(v.iter().map(|b| b.to_string()));
+                    row.extend(v.iter().map(ToString::to_string));
                     row
                 })
                 .collect::<Vec<_>>(),

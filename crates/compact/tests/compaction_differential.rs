@@ -12,7 +12,7 @@
 //! `set_sim_threads` is process-global, so the tests that touch it are
 //! serialised behind [`thread_lock`].
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use limscan_compact::{
     omission, omission_reference, restoration, restoration_reference, Compacted,
@@ -29,7 +29,7 @@ fn thread_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(Mutex::default)
         .lock()
-        .unwrap_or_else(|e| e.into_inner())
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 fn random_sequence(width: usize, len: usize, seed: u64) -> TestSequence {
