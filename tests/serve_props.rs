@@ -15,6 +15,7 @@ use std::sync::{Mutex, OnceLock};
 
 use proptest::prelude::*;
 
+use limscan::obs::Metric;
 use limscan_serve::{run_direct, JobKind, JobSpec, JobState, Server, ServerConfig, TenantQuota};
 
 /// A fresh scratch directory per call (tests and proptest cases run
@@ -231,6 +232,61 @@ fn cancelled_job_goes_terminal_and_frees_its_queue_slot() {
     let id2 = server.submit(JobSpec::default()).expect("slot freed");
     server.drain();
     assert_eq!(server.status(id2).expect("known").state, JobState::Complete);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One worker thread runs a generation on scan-inserted s382 and then a
+/// translation of b10, whose `[26]` baseline simulates bare b10: the
+/// thread's kernel scratch switches to a circuit with as many value slots
+/// and more nets. Both results match their solo runs, and neither job
+/// reports a degraded batch. The baseline's scan-set compaction runs its
+/// fault simulator without the job's observability handle, so a batch
+/// degraded there (on bare b10) would not show in these totals.
+#[test]
+fn one_worker_switching_circuits_matches_solo_runs() {
+    let dir = scratch("switch");
+    let cfg = ServerConfig {
+        workers: 1,
+        ..ServerConfig::new(&dir)
+    };
+    let server = Server::start(cfg).expect("server starts");
+    let specs = [
+        JobSpec {
+            circuit: "s382".into(),
+            ..JobSpec::default()
+        },
+        JobSpec {
+            kind: JobKind::Translate,
+            circuit: "b10".into(),
+            ..JobSpec::default()
+        },
+    ];
+    let ids: Vec<u64> = specs
+        .iter()
+        .map(|spec| server.submit(spec.clone()).expect("under quota"))
+        .collect();
+    server.drain();
+    let report = server.metrics();
+    for (&id, spec) in ids.iter().zip(&specs) {
+        assert_eq!(server.status(id).expect("known").state, JobState::Complete);
+        assert_eq!(
+            server.result_text(id).expect("result"),
+            run_direct(spec).expect("solo run completes"),
+            "job {id} diverged from its solo run"
+        );
+        let job = report
+            .jobs
+            .iter()
+            .find(|j| j.id == id)
+            .expect("job metrics");
+        assert!(
+            job.totals.counter(Metric::VectorsSimulated) > 0,
+            "job {id} unobserved"
+        );
+        assert_eq!(job.totals.counter(Metric::DegradedBatches), 0, "job {id}");
+        assert_eq!(job.totals.degrade_count(), 0, "job {id}");
+    }
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
